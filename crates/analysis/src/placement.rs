@@ -29,7 +29,7 @@
 use crate::classes::{partition_classes, RefClass};
 
 use loopir::layout::Placement;
-use loopir::{ArrayId, DataLayout, Kernel};
+use loopir::{ArrayDecl, ArrayId, DataLayout, Kernel};
 use std::error::Error;
 use std::fmt;
 
@@ -180,6 +180,50 @@ pub fn optimize_layout(
     cache_size: u64,
     line: u64,
 ) -> Result<PlacementReport, PlacementError> {
+    optimize_with(kernel, cache_size, line, pitch_candidates)
+}
+
+/// The row pitches [`optimize_layout`] tries for `array`, in search order:
+/// the natural pitch padded by `k` elements for `k` in `0..⌈cache/elem⌉`,
+/// keeping those congruent to `residue` (mod cache) when one is required —
+/// or all of them when none is. Rank-1 and single-row arrays have one
+/// candidate. Lazy: the search usually stops at the first zero-collision
+/// candidate, long before the `cache/elem` pitches of a large cache.
+fn pitch_candidates(
+    array: &ArrayDecl,
+    cache_size: u64,
+    residue: Option<u64>,
+) -> impl Iterator<Item = u64> {
+    let elem = array.elem_size as u64;
+    let natural: u64 = array.dims[1..].iter().map(|&d| d as u64).product::<u64>() * elem;
+    let multi_row = array.dims.len() > 1 && array.dims[0] > 1;
+    let count = if multi_row {
+        cache_size.div_ceil(elem)
+    } else {
+        0
+    };
+    let all = move || (0..count).map(move |k| natural + k * elem);
+    let mut constrained = all()
+        .filter(move |&p| residue.is_none_or(|r| p % cache_size == r))
+        .peekable();
+    // Fall back to unconstrained pitches if the residue filter matches
+    // nothing (differing element sizes can cause this).
+    let fallback = constrained.peek().is_none();
+    let single = (!multi_row).then_some(natural.max(elem));
+    single
+        .into_iter()
+        .chain(constrained)
+        .chain(all().take_while(move |_| fallback))
+}
+
+/// [`optimize_layout`] with the pitch candidates of each array supplied
+/// by `pitches(array, cache size, required residue)`.
+fn optimize_with<I: IntoIterator<Item = u64>>(
+    kernel: &Kernel,
+    cache_size: u64,
+    line: u64,
+    pitches: impl Fn(&ArrayDecl, u64, Option<u64>) -> I,
+) -> Result<PlacementReport, PlacementError> {
     if kernel.arrays.is_empty() {
         return Err(PlacementError::NoArrays);
     }
@@ -302,28 +346,10 @@ pub fn optimize_layout(
             let h = &classes[units[ui].leader_class].h;
             residue_by_h.iter().find(|(rh, _)| rh == h).map(|(_, r)| *r)
         });
-        let pitch_candidates: Vec<u64> = if multi_row {
-            (0..cache_size.div_ceil(elem))
-                .map(|k| natural_pitch + k * elem)
-                .filter(|&p| required_residue.is_none_or(|r| p % cache_size == r))
-                .collect()
-        } else {
-            vec![natural_pitch.max(elem)]
-        };
-        // Fall back to unconstrained pitches if the residue filter emptied
-        // the candidate list (differing element sizes can cause this).
-        let pitch_candidates = if pitch_candidates.is_empty() {
-            (0..cache_size.div_ceil(elem))
-                .map(|k| natural_pitch + k * elem)
-                .collect()
-        } else {
-            pitch_candidates
-        };
-
         // (collision score, padding, placement, protected ranges)
         type Candidate = ((usize, u64), u64, Placement, Vec<ByteRange>);
         let mut best: Option<Candidate> = None;
-        'search: for &pitch in &pitch_candidates {
+        'search: for pitch in pitches(array, cache_size, required_residue) {
             for k in 0..cache_size.div_ceil(elem) {
                 let base = base_cursor + k * elem;
                 let p = Placement {
@@ -428,6 +454,88 @@ mod tests {
             .filter(|a| a.kind == AccessKind::Read)
             .map(|a| TraceEvent::read(a.addr, a.size));
         Simulator::simulate(cfg, events).stats.read_miss_rate()
+    }
+
+    /// The eager candidate list `optimize_layout` built before its pitch
+    /// candidates went lazy: the reference for [`pitch_candidates`].
+    fn eager_pitch_candidates(
+        array: &ArrayDecl,
+        cache_size: u64,
+        required_residue: Option<u64>,
+    ) -> Vec<u64> {
+        let elem = array.elem_size as u64;
+        let natural_pitch: u64 = array.dims[1..].iter().map(|&d| d as u64).product::<u64>() * elem;
+        let multi_row = array.dims.len() > 1 && array.dims[0] > 1;
+        let pitch_candidates: Vec<u64> = if multi_row {
+            (0..cache_size.div_ceil(elem))
+                .map(|k| natural_pitch + k * elem)
+                .filter(|&p| required_residue.is_none_or(|r| p % cache_size == r))
+                .collect()
+        } else {
+            vec![natural_pitch.max(elem)]
+        };
+        if pitch_candidates.is_empty() {
+            (0..cache_size.div_ceil(elem))
+                .map(|k| natural_pitch + k * elem)
+                .collect()
+        } else {
+            pitch_candidates
+        }
+    }
+
+    #[test]
+    fn lazy_pitch_candidates_match_the_eager_list() {
+        let rows = loopir::ArrayDecl::new("a", &[6, 6], 4);
+        let row = loopir::ArrayDecl::new("v", &[6], 4);
+        // 28: a residue some pitch meets; 3: none does (falls back).
+        for residue in [None, Some(28), Some(3)] {
+            for array in [&rows, &row] {
+                let lazy: Vec<u64> = pitch_candidates(array, 64, residue).collect();
+                assert_eq!(lazy, eager_pitch_candidates(array, 64, residue));
+            }
+        }
+    }
+
+    #[test]
+    fn lazy_pitch_candidates_pin_the_expansive_layouts() {
+        // The eight example kernels over every (T, L) pair of the
+        // expansive grid: T from 16 B to 8 MiB, L from 4 B to 1 KiB, at
+        // least four lines.
+        let kernels = [
+            kernels::compress(31),
+            kernels::conv2d(16, 3),
+            kernels::dequant(31),
+            kernels::matadd(31),
+            kernels::matmul(31),
+            kernels::pde(31),
+            kernels::sor(31),
+            kernels::stencil(31),
+        ];
+        let pairs: Vec<(u64, u64)> = (4..=23)
+            .flat_map(|t| (2..=10).map(move |l| (1u64 << t, 1u64 << l)))
+            .filter(|&(t, l)| t / l >= 4)
+            .collect();
+        assert_eq!(pairs.len(), 144);
+        // The eager lists cost cache/elem entries each, so the kernels run
+        // on their own threads.
+        std::thread::scope(|scope| {
+            for k in &kernels {
+                let pairs = &pairs;
+                scope.spawn(move || {
+                    for &(t, l) in pairs {
+                        let lazy = optimize_layout(k, t, l).unwrap();
+                        let eager = optimize_with(k, t, l, eager_pitch_candidates).unwrap();
+                        let at = format!("{} at C{t}L{l}", k.name);
+                        assert_eq!(lazy.layout, eager.layout, "{at}");
+                        assert_eq!(lazy.leader_lines, eager.leader_lines, "{at}");
+                        assert_eq!(lazy.colliding_classes, eager.colliding_classes, "{at}");
+                        assert_eq!(lazy.total_classes, eager.total_classes, "{at}");
+                        assert_eq!(lazy.padding_bytes, eager.padding_bytes, "{at}");
+                        assert_eq!(lazy.conflict_free, eager.conflict_free, "{at}");
+                    }
+                });
+            }
+        });
     }
 
     #[test]

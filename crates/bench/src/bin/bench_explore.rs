@@ -14,7 +14,10 @@
 //! seed engine, and on `matmul` the pre-bulk scalar replay path
 //! (`Evaluator::scalar_replay`), which is PR 3's fused baseline — the
 //! `replay_phase_speedup` of that row is the number the bulk-lane
-//! refactor is pinned on. Everything is written to `BENCH_explore.json`
+//! refactor is pinned on. A `tracegen` row times trace generation alone —
+//! the compiled generator (`loopir::CompiledTrace`) against the
+//! interpreter (`loopir::TraceGen`) — over the eight example kernels and
+//! checks the two emit identical accesses. Everything is written to `BENCH_explore.json`
 //! in the current directory. Each configuration is timed over several
 //! runs and the best run is reported, which filters scheduler noise
 //! without external tooling.
@@ -26,7 +29,7 @@
 //! ```
 
 use bench::seed_engine::seed_explore_designs;
-use loopir::kernels;
+use loopir::{kernels, CompiledTrace, DataLayout, Kernel, TraceGen};
 use memexplore::{DesignSpace, Engine, Evaluator, Explorer, Record, SweepTelemetry};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -183,6 +186,69 @@ fn bench_expansive(workers: usize) -> ExpansiveResult {
     }
 }
 
+/// Trace generation alone, compiled vs interpreted.
+struct TracegenResult {
+    kernels: usize,
+    traces: usize,
+    events: u64,
+    compiled_secs: f64,
+    interpreted_secs: f64,
+    /// Every access (address, size, kind, array) equal, in order.
+    identical: bool,
+}
+
+/// The eight example kernels (`examples/kernels/*.mx`) at their file
+/// extents.
+fn example_kernels() -> Vec<Kernel> {
+    vec![
+        kernels::compress(31),
+        kernels::conv2d(16, 3),
+        kernels::dequant(31),
+        kernels::matadd(31),
+        kernels::matmul(31),
+        kernels::pde(31),
+        kernels::sor(31),
+        kernels::stencil(31),
+    ]
+}
+
+/// Generates the full trace (reads and writes) of every kernel at every
+/// paper tiling, under the natural layout and the optimized layout of a
+/// 64 B / 8 B cache, with both generators.
+fn bench_tracegen(tilings: &[u64]) -> TracegenResult {
+    let evaluator = Evaluator::default();
+    let mut cases: Vec<(Kernel, DataLayout)> = Vec::new();
+    let kernels = example_kernels();
+    for k in &kernels {
+        let optimized = evaluator.layout_for(k, 64, 8).0;
+        for &b in tilings {
+            let tiled = loopir::transform::tile_all(k, b);
+            cases.push((tiled.clone(), DataLayout::natural(k)));
+            cases.push((tiled, optimized.clone()));
+        }
+    }
+    let (compiled_secs, compiled) = best_of(RUNS, || {
+        cases
+            .iter()
+            .map(|(k, l)| CompiledTrace::new(k, l, false).collect())
+            .collect::<Vec<_>>()
+    });
+    let (interpreted_secs, interpreted) = best_of(RUNS, || {
+        cases
+            .iter()
+            .map(|(k, l)| TraceGen::new(k, l).collect())
+            .collect::<Vec<Vec<_>>>()
+    });
+    TracegenResult {
+        kernels: kernels.len(),
+        traces: cases.len(),
+        events: interpreted.iter().map(|t| t.len() as u64).sum(),
+        compiled_secs,
+        interpreted_secs,
+        identical: compiled == interpreted,
+    }
+}
+
 fn main() {
     bench::reject_args("bench_explore");
     let designs = DesignSpace::paper().designs();
@@ -225,6 +291,8 @@ fn main() {
 
     let expansive = bench_expansive(num_cpus.max(2));
 
+    let tracegen = bench_tracegen(&DesignSpace::paper().tilings);
+
     let json = render_json(
         &results,
         num_cpus,
@@ -234,6 +302,7 @@ fn main() {
         identical_to_serial,
         &scalar,
         &expansive,
+        &tracegen,
     );
     std::fs::write("BENCH_explore.json", &json).expect("can write BENCH_explore.json");
 
@@ -281,6 +350,16 @@ fn main() {
         expansive.serial_secs / expansive.parallel_secs,
         expansive.identical
     );
+    println!(
+        "tracegen ({} kernels, {} traces, {} events) | compiled {:.1} M events/s | interpreted {:.1} M events/s | {:.1}x | identical {}",
+        tracegen.kernels,
+        tracegen.traces,
+        tracegen.events,
+        tracegen.events as f64 / tracegen.compiled_secs / 1e6,
+        tracegen.events as f64 / tracegen.interpreted_secs / 1e6,
+        tracegen.interpreted_secs / tracegen.compiled_secs,
+        tracegen.identical
+    );
     println!("wrote BENCH_explore.json");
 
     assert!(identical_to_seed, "fused engine diverged from seed engine");
@@ -292,6 +371,10 @@ fn main() {
     assert!(
         expansive.identical,
         "multi-worker expansive sweep diverged from serial"
+    );
+    assert!(
+        tracegen.identical,
+        "compiled trace diverged from the interpreter"
     );
 }
 
@@ -305,6 +388,7 @@ fn render_json(
     identical_to_serial: bool,
     scalar: &ScalarBaseline,
     expansive: &ExpansiveResult,
+    tracegen: &TracegenResult,
 ) -> String {
     let mut kernels_json = String::new();
     for (i, r) in results.iter().enumerate() {
@@ -366,6 +450,17 @@ fn render_json(
             "    \"parallel_secs\": {:.6},\n",
             "    \"speedup\": {:.3},\n",
             "    \"records_identical\": {}\n",
+            "  }},\n",
+            "  \"tracegen\": {{\n",
+            "    \"kernels\": {},\n",
+            "    \"traces\": {},\n",
+            "    \"events\": {},\n",
+            "    \"compiled_secs\": {:.6},\n",
+            "    \"interpreted_secs\": {:.6},\n",
+            "    \"compiled_events_per_s\": {:.0},\n",
+            "    \"interpreted_events_per_s\": {:.0},\n",
+            "    \"speedup\": {:.3},\n",
+            "    \"records_identical\": {}\n",
             "  }}\n",
             "}}\n"
         ),
@@ -389,5 +484,14 @@ fn render_json(
         expansive.parallel_secs,
         expansive.serial_secs / expansive.parallel_secs,
         expansive.identical,
+        tracegen.kernels,
+        tracegen.traces,
+        tracegen.events,
+        tracegen.compiled_secs,
+        tracegen.interpreted_secs,
+        tracegen.events as f64 / tracegen.compiled_secs,
+        tracegen.events as f64 / tracegen.interpreted_secs,
+        tracegen.interpreted_secs / tracegen.compiled_secs,
+        tracegen.identical,
     )
 }

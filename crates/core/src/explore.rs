@@ -21,17 +21,17 @@
 
 use crate::analytic::{kernel_footprint_bytes, try_group_records};
 use crate::checkpoint::CheckpointError;
-use crate::metrics::{read_trace, CacheDesign, Evaluator, Record};
+use crate::metrics::{fill_reads, CacheDesign, Evaluator, Record};
 use crate::obs::{FieldValue, LatencyHistogram, Obs, Span};
 use crate::telemetry::SweepTelemetry;
 use loopir::transform::tile_all;
-use loopir::{DataLayout, Kernel};
+use loopir::{CompiledTrace, DataLayout, Kernel};
 use memsim::{CompressedTrace, Replacement, TraceArena, TraceEvent, WritePolicy};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// How often the fused bank reports scanned-event progress to the
@@ -673,23 +673,31 @@ impl Explorer {
                 keys.len() - 1
             });
         }
-        let trace_slots: Vec<OnceLock<Vec<TraceEvent>>> =
-            keys.iter().map(|_| OnceLock::new()).collect();
-        try_steal_loop(workers, keys.len(), |_w, i| {
-            let (id, b) = keys[i];
-            let _ = trace_slots[i].set(read_trace(&tiled[&b], &unique_layouts[id]));
-        })
-        .map_err(|message| ExploreError::WorkerPanic {
+        // Each trace is compiled and counted first, so the arena is sized
+        // exactly once and workers write their traces straight into it.
+        let compiled: Vec<CompiledTrace> = keys
+            .iter()
+            .map(|&(id, b)| CompiledTrace::new(&tiled[&b], &unique_layouts[id], true))
+            .collect();
+        let (arena, filled) = TraceArena::fill_in_place(
+            keys.iter()
+                .zip(&compiled)
+                .map(|(&key, c)| (key, c.event_count() as usize)),
+            |slices| {
+                let slots: Vec<Mutex<&mut [TraceEvent]>> =
+                    slices.into_iter().map(Mutex::new).collect();
+                try_steal_loop(workers, keys.len(), |_w, i| {
+                    let mut slot = slots[i]
+                        .lock()
+                        .expect("a slot is locked only by its own job");
+                    fill_reads(&compiled[i], &mut slot);
+                })
+            },
+        );
+        filled.map_err(|message| ExploreError::WorkerPanic {
             phase: "trace",
             message,
         })?;
-        let arena: TraceArena<(usize, u64)> = TraceArena::assemble(
-            keys.iter().copied().zip(
-                trace_slots
-                    .into_iter()
-                    .map(|s| s.into_inner().expect("trace phase filled every slot")),
-            ),
-        );
         drop(span);
         let trace_time = phase_start.elapsed();
 

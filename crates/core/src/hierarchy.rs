@@ -37,7 +37,7 @@
 //! ```
 
 use crate::metrics::{CacheDesign, Evaluator};
-use loopir::{AccessKind, Kernel, TraceGen};
+use loopir::{CompiledTrace, Kernel};
 use memsim::{CacheConfig, Hierarchy, HierarchyReport};
 
 /// Cycles for an L1 miss served by the on-chip L2 (tag check + array read +
@@ -126,9 +126,8 @@ pub fn evaluate_two_level(
 ) -> TwoLevelRecord {
     let (layout, _) = evaluator.layout_for(kernel, l1.size(), l1.line());
     let mut h = Hierarchy::new(l1, l2);
-    for a in TraceGen::new(kernel, &layout).filter(|a| a.kind == AccessKind::Read) {
-        h.step(memsim::TraceEvent::read(a.addr, a.size));
-    }
+    CompiledTrace::new(kernel, &layout, true)
+        .for_each(|a| h.step(memsim::TraceEvent::read(a.addr, a.size)));
     let report = h.report();
 
     let l1_design = CacheDesign::new(l1.size(), l1.line(), l1.assoc(), 1);

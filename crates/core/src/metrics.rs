@@ -5,7 +5,7 @@ use analysis::placement::optimize_layout;
 use energy::DacEnergyModel;
 use energy::SramPart;
 use loopir::transform::tile_all;
-use loopir::{AccessKind, DataLayout, Kernel, TraceGen};
+use loopir::{CompiledTrace, DataLayout, Kernel};
 use memsim::{
     BusEncoding, CacheConfig, CompressedTrace, Replacement, ReplayBank, Simulator, TraceEvent,
     WritePolicy,
@@ -200,7 +200,9 @@ impl Evaluator {
     /// and *create* capacity misses. Both the padded and the natural layout
     /// are therefore miss-counted once on a direct-mapped cache, and the
     /// better one wins — the assignment can then never lose to doing
-    /// nothing.
+    /// nothing. When the optimizer returns the natural layout itself, the
+    /// two counts are equal by construction and the padded layout would
+    /// win the tie, so both scans are skipped.
     pub fn layout_for(
         &self,
         kernel: &Kernel,
@@ -212,6 +214,9 @@ impl Evaluator {
                 let r = optimize_layout(kernel, cache_size as u64, line as u64)
                     .expect("kernels have arrays and geometry is validated");
                 let natural = DataLayout::natural(kernel);
+                if r.layout == natural {
+                    return (r.layout, r.conflict_free);
+                }
                 let m_opt = quick_misses(kernel, &r.layout, cache_size, line);
                 let m_nat = quick_misses(kernel, &natural, cache_size, line);
                 if m_opt <= m_nat {
@@ -510,24 +515,50 @@ impl Evaluator {
 
 /// Materializes the read trace of `kernel` under `layout` — the event
 /// format consumed by [`Evaluator::evaluate_with_trace`] and stored in
-/// sweep [`memsim::TraceArena`]s.
+/// sweep [`memsim::TraceArena`]s. Generated by the compiled trace
+/// ([`loopir::CompiledTrace`]) into a vector of exactly the trace's length.
 pub fn read_trace(kernel: &Kernel, layout: &DataLayout) -> Vec<TraceEvent> {
-    TraceGen::new(kernel, layout)
-        .filter(|a| a.kind == AccessKind::Read)
-        .map(|a| TraceEvent::read(a.addr, a.size))
-        .collect()
+    let trace = CompiledTrace::new(kernel, layout, true);
+    let mut events = Vec::with_capacity(trace.event_count() as usize);
+    trace.for_each(|a| events.push(TraceEvent::read(a.addr, a.size)));
+    events
 }
 
+/// Writes the accesses of `trace` into `out` as read events — the
+/// in-place form of [`read_trace`] for buffers sized by
+/// [`CompiledTrace::event_count`].
+///
+/// # Panics
+///
+/// Panics if `out` does not hold exactly the trace's event count.
+pub(crate) fn fill_reads(trace: &CompiledTrace, out: &mut [TraceEvent]) {
+    let mut slots = out.iter_mut();
+    trace.for_each(|a| {
+        *slots.next().expect("buffer sized to the trace") = TraceEvent::read(a.addr, a.size);
+    });
+    assert!(slots.next().is_none(), "buffer sized to the trace");
+}
+
+/// Events per bulk replay call of [`quick_misses`]: the untiled trace
+/// streams through one reused 64 KiB buffer, never materialized whole.
+const QUICK_CHUNK: usize = 1 << 12;
+
 /// Read-miss count of the untiled kernel on a direct-mapped cache — the
-/// proxy used to arbitrate between candidate layouts.
+/// proxy used to arbitrate between candidate layouts. Replayed through the
+/// bulk read path of a one-lane [`ReplayBank`].
 fn quick_misses(kernel: &Kernel, layout: &DataLayout, cache_size: usize, line: usize) -> u64 {
     let config = CacheConfig::new(cache_size, line, 1).expect("geometry validated by caller");
-    let events = TraceGen::new(kernel, layout)
-        .filter(|a| a.kind == AccessKind::Read)
-        .map(|a| TraceEvent::read(a.addr, a.size));
-    let mut sim = Simulator::new(config);
-    sim.run(events);
-    sim.stats().read_misses()
+    let mut bank = ReplayBank::new(&[config]);
+    let mut chunk = Vec::with_capacity(QUICK_CHUNK);
+    CompiledTrace::new(kernel, layout, true).for_each(|a| {
+        chunk.push(TraceEvent::read(a.addr, a.size));
+        if chunk.len() == QUICK_CHUNK {
+            bank.run_slice(&chunk);
+            chunk.clear();
+        }
+    });
+    bank.run_slice(&chunk);
+    bank.stats(0).read_misses()
 }
 
 #[cfg(test)]
@@ -547,6 +578,30 @@ mod tests {
         assert!(rec.miss_rate > 0.0);
         assert!(rec.energy_nj > 1_000.0 && rec.energy_nj < 100_000.0);
         assert!(rec.cycles > rec.trip_count as f64); // misses cost > 1 cycle
+    }
+
+    #[test]
+    fn read_trace_matches_the_interpreter_under_chosen_layouts() {
+        // The compiled trace behind `read_trace` against `TraceGen`, on
+        // every paper kernel at every paper tiling, under the layouts the
+        // evaluator picks for a spread of (T, L) pairs.
+        let eval = Evaluator::default();
+        for k in kernels::all_paper_kernels() {
+            for (t, l) in [(16, 4), (64, 8), (256, 16), (1024, 64)] {
+                let (layout, _) = eval.layout_for(&k, t, l);
+                for b in [1, 2, 4, 8, 16] {
+                    let tiled = tile_all(&k, b);
+                    let want: Vec<TraceEvent> =
+                        loopir::TraceGen::collect_trace(&tiled, &layout, true)
+                            .into_iter()
+                            .map(|a| TraceEvent::read(a.addr, a.size))
+                            .collect();
+                    let got = read_trace(&tiled, &layout);
+                    assert_eq!(got.len(), got.capacity(), "sized exactly");
+                    assert!(got == want, "{} C{t}L{l}B{b}", k.name);
+                }
+            }
+        }
     }
 
     #[test]

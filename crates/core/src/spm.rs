@@ -33,7 +33,7 @@
 use crate::explore::{pow2_range, DesignSpace, Explorer};
 use crate::metrics::{CacheDesign, Evaluator, Record};
 use crate::select;
-use loopir::{AccessKind, ArrayId, Kernel, TraceGen};
+use loopir::{ArrayId, CompiledTrace, Kernel};
 use memsim::{Simulator, TraceEvent};
 
 /// Per-array read traffic of one kernel execution.
@@ -42,11 +42,7 @@ use memsim::{Simulator, TraceEvent};
 pub fn array_read_counts(kernel: &Kernel) -> Vec<(ArrayId, u64)> {
     let layout = loopir::DataLayout::natural(kernel);
     let mut counts = vec![0u64; kernel.arrays.len()];
-    for a in TraceGen::new(kernel, &layout) {
-        if a.kind == AccessKind::Read {
-            counts[a.array.0] += 1;
-        }
-    }
+    CompiledTrace::new(kernel, &layout, true).for_each(|a| counts[a.array.0] += 1);
     counts
         .into_iter()
         .enumerate()
@@ -143,13 +139,13 @@ pub fn evaluate_split(
 
     let mut sim = Simulator::with_options(config, evaluator.bus_encoding, false);
     let mut spm_reads = 0u64;
-    for a in TraceGen::new(kernel, &layout).filter(|a| a.kind == AccessKind::Read) {
+    CompiledTrace::new(kernel, &layout, true).for_each(|a| {
         if assignment.arrays.contains(&a.array) {
             spm_reads += 1;
         } else {
             sim.step(TraceEvent::read(a.addr, a.size));
         }
-    }
+    });
     let report = sim.into_report();
     let cache_cycles = evaluator.cycle_model.cycles_from_counts(
         report.stats.read_hits,

@@ -10,7 +10,10 @@
 //! * [data layouts](layout::DataLayout) mapping arrays to off-chip byte
 //!   addresses, including padded layouts produced by placement optimisers,
 //! * an address [trace generator](trace::TraceGen) that walks the nest in
-//!   execution order and emits one memory access per array reference, and
+//!   execution order and emits one memory access per array reference,
+//! * its [compiled](compiled::CompiledTrace) form, which lowers every
+//!   reference to a base address plus one byte stride per loop and emits
+//!   the same trace without interpreting subscripts, and
 //! * the paper's [benchmark kernels](kernels) (Compress, Matrix
 //!   Multiplication, PDE, SOR, Dequant, Matrix Addition, Transpose).
 //!
@@ -28,6 +31,7 @@
 //! assert_eq!(trace.len(), 31 * 31 * 5);
 //! ```
 
+pub mod compiled;
 pub mod expr;
 pub mod kernels;
 pub mod layout;
@@ -36,6 +40,7 @@ pub mod parse;
 pub mod trace;
 pub mod transform;
 
+pub use compiled::{check_bounds, CompiledTrace, OutOfBounds};
 pub use expr::AffineExpr;
 pub use kernels::all_paper_kernels;
 pub use layout::DataLayout;

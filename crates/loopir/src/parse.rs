@@ -48,6 +48,7 @@
 //! # Ok::<(), loopir::parse::ParseKernelError>(())
 //! ```
 
+use crate::compiled::{check_bounds, OutOfBounds};
 use crate::expr::AffineExpr;
 use crate::nest::{ArrayDecl, ArrayId, ArrayRef, Bound, Kernel, Loop, LoopNest};
 use std::error::Error;
@@ -60,6 +61,18 @@ pub struct ParseKernelError {
     pub line: usize,
     /// Human-readable description.
     pub message: String,
+    /// What kind of problem it is.
+    pub kind: ParseErrorKind,
+}
+
+/// The kind of a [`ParseKernelError`].
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub enum ParseErrorKind {
+    /// Malformed or inconsistent text.
+    Syntax,
+    /// Well-formed text whose reference indexes outside its array at some
+    /// iteration point (the first such access in execution order).
+    OutOfBounds(OutOfBounds),
 }
 
 impl ParseKernelError {
@@ -67,6 +80,7 @@ impl ParseKernelError {
         ParseKernelError {
             line,
             message: message.into(),
+            kind: ParseErrorKind::Syntax,
         }
     }
 }
@@ -89,13 +103,17 @@ impl Error for ParseKernelError {}
 ///
 /// Returns a [`ParseKernelError`] with the offending line for any syntax or
 /// semantic problem (unknown array, undeclared loop variable, reference
-/// before any loop, subscript arity mismatch, and so on).
+/// before any loop, subscript arity mismatch, and so on). A kernel whose
+/// subscript leaves its array's extent at some iteration point is rejected
+/// with [`ParseErrorKind::OutOfBounds`], at the reference's line; the check
+/// costs at most one endpoint test per innermost run (see [`check_bounds`]).
 pub fn parse_kernel(text: &str) -> Result<Kernel, ParseKernelError> {
     let mut name: Option<String> = None;
     let mut arrays: Vec<ArrayDecl> = Vec::new();
     let mut loops: Vec<Loop> = Vec::new();
     let mut loop_vars: Vec<String> = Vec::new();
     let mut refs: Vec<ArrayRef> = Vec::new();
+    let mut ref_lines: Vec<usize> = Vec::new();
 
     for (idx, raw) in text.lines().enumerate() {
         let line_no = idx + 1;
@@ -159,6 +177,7 @@ pub fn parse_kernel(text: &str) -> Result<Kernel, ParseKernelError> {
                     &arrays,
                     &loop_vars,
                 )?);
+                ref_lines.push(line_no);
             }
             other => {
                 return Err(ParseKernelError::new(
@@ -199,7 +218,13 @@ pub fn parse_kernel(text: &str) -> Result<Kernel, ParseKernelError> {
             }
         }
     }
-    Ok(Kernel::new(name, arrays, LoopNest { loops, refs }))
+    let kernel = Kernel::new(name, arrays, LoopNest { loops, refs });
+    check_bounds(&kernel).map_err(|oob| ParseKernelError {
+        line: ref_lines[oob.reference],
+        message: oob.to_string(),
+        kind: ParseErrorKind::OutOfBounds(oob),
+    })?;
+    Ok(kernel)
 }
 
 /// `NAME[d1][d2]… elem BYTES`
@@ -544,6 +569,29 @@ for i = 3 .. 9
                 .message
                 .contains("step")
         );
+    }
+
+    #[test]
+    fn rejects_out_of_bounds_subscripts_at_the_reference_line() {
+        let e = err_of("kernel K\narray a[8] elem 4\nfor i = 0 .. 8\n  read a[i]\n");
+        assert_eq!(e.line, 4);
+        assert_eq!(
+            e.to_string(),
+            "line 4: subscript 0 of `a` out of bounds: 8 not in 0..8"
+        );
+        match e.kind {
+            ParseErrorKind::OutOfBounds(oob) => {
+                assert_eq!((oob.name.as_str(), oob.dim, oob.value), ("a", 0, 8));
+            }
+            ParseErrorKind::Syntax => panic!("expected an out-of-bounds error"),
+        }
+        // A triangular nest whose subscript stays in range only because
+        // of the triangle is accepted: the check is exact.
+        parse_kernel(
+            "kernel T\narray a[8] elem 4\nfor i = 0 .. 7\nfor j = i .. 7\n  read a[j-i]\n",
+        )
+        .expect("in bounds at every point");
+        assert_eq!(err_of("kernel K\nkernel L\n").kind, ParseErrorKind::Syntax);
     }
 
     #[test]

@@ -8,20 +8,19 @@
 //! `Vec<TraceEvent>` and hands out `&[TraceEvent]` slices, so simulators
 //! replay a shared immutable buffer instead of re-walking the loop nest.
 //!
-//! The arena is built in two stages to fit parallel sweeps: produce each
-//! keyed trace independently (possibly on worker threads), then
-//! [`TraceArena::assemble`] them in deterministic key order. The finished
-//! arena is immutable and can be shared by reference across scoped threads.
+//! Parallel builders count each trace first, then
+//! [`TraceArena::fill_in_place`] hands every worker a disjoint slice of
+//! one buffer allocated once, so no trace is copied. The finished arena is
+//! immutable and can be shared by reference across scoped threads.
 //!
 //! # Example
 //!
 //! ```
 //! use memsim::{CacheConfig, Simulator, TraceArena, TraceEvent};
 //!
-//! let arena = TraceArena::assemble(vec![
-//!     ("stream", (0..8).map(|i| TraceEvent::read(i * 4, 4)).collect()),
-//!     ("stride", (0..8).map(|i| TraceEvent::read(i * 64, 4)).collect()),
-//! ]);
+//! let mut arena = TraceArena::new();
+//! arena.insert("stream", (0..8).map(|i| TraceEvent::read(i * 4, 4)).collect());
+//! arena.insert("stride", (0..8).map(|i| TraceEvent::read(i * 64, 4)).collect());
 //! let cfg = CacheConfig::new(64, 16, 1)?;
 //! let stream = Simulator::simulate_slice(cfg, arena.get(&"stream").unwrap());
 //! let stride = Simulator::simulate_slice(cfg, arena.get(&"stride").unwrap());
@@ -54,15 +53,38 @@ impl<K: Eq + Hash> TraceArena<K> {
         }
     }
 
-    /// Builds an arena from independently generated traces, concatenating
-    /// them in the given order. Later duplicates of a key are dropped (the
-    /// first occurrence wins), keeping assembly deterministic.
-    pub fn assemble(traces: impl IntoIterator<Item = (K, Vec<TraceEvent>)>) -> Self {
-        let mut arena = TraceArena::new();
-        for (key, trace) in traces {
-            arena.insert(key, trace);
+    /// Builds an arena whose traces are written in place, with no
+    /// per-trace buffers to copy from: `lens` gives each key's event
+    /// count, in buffer order, and `fill` receives one disjoint mutable
+    /// slice per key, in the same order, and must write every event.
+    /// Returns the arena and `fill`'s result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a key repeats.
+    pub fn fill_in_place<R>(
+        lens: impl IntoIterator<Item = (K, usize)>,
+        fill: impl FnOnce(Vec<&mut [TraceEvent]>) -> R,
+    ) -> (Self, R) {
+        let mut spans = HashMap::new();
+        let mut lens_in_order = Vec::new();
+        let mut total = 0;
+        for (key, n) in lens {
+            let fresh = spans.insert(key, total..total + n).is_none();
+            assert!(fresh, "duplicate trace key in an in-place arena");
+            lens_in_order.push(n);
+            total += n;
         }
-        arena
+        let mut events = vec![TraceEvent::read(0, 0); total];
+        let mut slices = Vec::with_capacity(lens_in_order.len());
+        let mut rest = events.as_mut_slice();
+        for n in lens_in_order {
+            let (head, tail) = rest.split_at_mut(n);
+            slices.push(head);
+            rest = tail;
+        }
+        let out = fill(slices);
+        (TraceArena { events, spans }, out)
     }
 
     /// Appends one keyed trace; returns `false` (and drops the trace) if
@@ -79,7 +101,7 @@ impl<K: Eq + Hash> TraceArena<K> {
 
     /// Generates and stores the trace for `key` unless already present,
     /// then returns its slice. Serial-use convenience; parallel builders
-    /// should pre-generate and [`assemble`](Self::assemble).
+    /// should use [`fill_in_place`](Self::fill_in_place).
     pub fn intern_with(
         &mut self,
         key: K,
@@ -138,17 +160,45 @@ mod tests {
 
     #[test]
     fn spans_map_back_to_their_traces() {
-        let arena = TraceArena::assemble(vec![
+        let mut arena = TraceArena::new();
+        for (key, trace) in [
             (1u32, reads(&[0, 4, 8])),
             (2, reads(&[100])),
             (3, Vec::new()),
-        ]);
+        ] {
+            assert!(arena.insert(key, trace));
+        }
         assert_eq!(arena.len(), 3);
         assert_eq!(arena.get(&1).unwrap().len(), 3);
         assert_eq!(arena.get(&2).unwrap()[0].addr, 100);
         assert_eq!(arena.get(&3).unwrap(), &[]);
         assert!(arena.get(&4).is_none());
         assert_eq!(arena.events().len(), 4);
+    }
+
+    #[test]
+    fn fill_in_place_matches_insert() {
+        let traces = vec![
+            (1u32, reads(&[0, 4, 8])),
+            (2, Vec::new()),
+            (3, reads(&[100])),
+        ];
+        let (arena, filled) =
+            TraceArena::fill_in_place(traces.iter().map(|(k, t)| (*k, t.len())), |slices| {
+                for (slice, (_, t)) in slices.into_iter().zip(&traces) {
+                    slice.copy_from_slice(t);
+                }
+                3
+            });
+        let mut inserted = TraceArena::new();
+        for (k, t) in &traces {
+            inserted.insert(*k, t.clone());
+        }
+        assert_eq!(filled, 3);
+        assert_eq!(arena.events(), inserted.events());
+        for (k, t) in &traces {
+            assert_eq!(arena.get(k).unwrap(), t.as_slice());
+        }
     }
 
     #[test]

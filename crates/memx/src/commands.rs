@@ -6,8 +6,9 @@ use analysis::classes::{partition_cases, partition_classes};
 use analysis::min_cache::MinCacheReport;
 use analysis::placement::optimize_layout;
 use energy::SramPart;
-use loopir::parse::parse_kernel;
-use loopir::{AccessKind, ArrayId, DataLayout, Kernel, TraceGen};
+use loopir::parse::{parse_kernel, ParseErrorKind, ParseKernelError};
+use loopir::{AccessKind, ArrayId, CompiledTrace, DataLayout, Kernel};
+use memexplore::metrics::read_trace;
 use memexplore::{
     select, CacheDesign, CheckpointPolicy, DesignSpace, Engine, Evaluator, ExploreError, Explorer,
     FaultPlan, Objective, Obs, ObsConfig, ObsSink, PlacementMode, Record, RunReport, SearchOptions,
@@ -49,8 +50,9 @@ impl Output {
 }
 
 /// A failed command, classified by the exit-code contract: invalid CLI
-/// input is exit 2 (handled by the parser), I/O failures and invalid
-/// cache geometry are also exit 2, every other runtime failure is exit 1.
+/// input is exit 2 (handled by the parser), I/O failures, invalid cache
+/// geometry and out-of-bounds kernels are also exit 2, every other runtime
+/// failure is exit 1.
 #[derive(Debug)]
 pub enum RunError {
     /// Filesystem problem (unreadable input, unwritable or corrupt
@@ -62,6 +64,10 @@ pub enum RunError {
     /// geometry, so it dies at the boundary: exit code 2 offline, HTTP
     /// 400 on `memx serve`.
     Geometry(String),
+    /// A kernel that parses but indexes outside one of its arrays at some
+    /// iteration point — rejected before any sweep starts: exit code 2
+    /// offline, HTTP 400 on `memx serve`.
+    Bounds(String),
     /// Any other runtime failure — exit code 1.
     Other(Box<dyn Error + Send + Sync>),
 }
@@ -70,7 +76,7 @@ impl RunError {
     /// The process exit code this error maps to.
     pub fn exit_code(&self) -> u8 {
         match self {
-            Self::Io(_) | Self::Geometry(_) => 2,
+            Self::Io(_) | Self::Geometry(_) | Self::Bounds(_) => 2,
             Self::Other(_) => 1,
         }
     }
@@ -79,7 +85,7 @@ impl RunError {
 impl fmt::Display for RunError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Self::Io(msg) | Self::Geometry(msg) => write!(f, "{msg}"),
+            Self::Io(msg) | Self::Geometry(msg) | Self::Bounds(msg) => write!(f, "{msg}"),
             Self::Other(e) => write!(f, "{e}"),
         }
     }
@@ -673,7 +679,17 @@ pub(crate) fn make_evaluator(part: &str, em_nj: Option<f64>, natural: bool) -> E
 pub(crate) fn load(path: &str) -> Result<Kernel, RunError> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| RunError::Io(format!("cannot read `{path}`: {e}")))?;
-    parse_kernel(&text).map_err(|e| RunError::Other(format!("{path}: {e}").into()))
+    parse_kernel(&text).map_err(|e| kernel_error(path, e))
+}
+
+/// Classifies a kernel file's parse error: an out-of-bounds subscript is
+/// invalid input (exit 2), any other parse failure a runtime error.
+pub(crate) fn kernel_error(path: &str, e: ParseKernelError) -> RunError {
+    let msg = format!("{path}: {e}");
+    match e.kind {
+        ParseErrorKind::OutOfBounds(_) => RunError::Bounds(msg),
+        ParseErrorKind::Syntax => RunError::Other(msg.into()),
+    }
 }
 
 /// Analytic feasibility gate shared by the sweep and search commands: if
@@ -1794,9 +1810,7 @@ fn simulate(
     if classify {
         let (layout, _) = evaluator.layout_for(kernel, cache, line);
         let tiled = loopir::transform::tile_all(kernel, tiling);
-        let events = TraceGen::new(&tiled, &layout)
-            .filter(|a| a.kind == AccessKind::Read)
-            .map(|a| TraceEvent::read(a.addr, a.size));
+        let events = read_trace(&tiled, &layout);
         let report = Simulator::simulate_classified(config, events);
         let c = report.miss_classes.expect("classification enabled");
         let _ = writeln!(
@@ -1892,9 +1906,10 @@ fn classes(kernel: &Kernel) -> String {
 
 fn trace(kernel: &Kernel, reads_only: bool) -> Result<String, Box<dyn Error + Send + Sync>> {
     let layout = DataLayout::natural(kernel);
-    let records: Vec<DinRecord> = TraceGen::new(kernel, &layout)
-        .filter(|a| !reads_only || a.kind == AccessKind::Read)
-        .map(|a| DinRecord {
+    let trace = CompiledTrace::new(kernel, &layout, reads_only);
+    let mut records: Vec<DinRecord> = Vec::with_capacity(trace.event_count() as usize);
+    trace.for_each(|a| {
+        records.push(DinRecord {
             label: if a.kind == AccessKind::Read {
                 DinLabel::Read
             } else {
@@ -1902,7 +1917,7 @@ fn trace(kernel: &Kernel, reads_only: bool) -> Result<String, Box<dyn Error + Se
             },
             addr: a.addr,
         })
-        .collect();
+    });
     let mut buf = Vec::new();
     write_din(&mut buf, &records)?;
     Ok(String::from_utf8(buf).expect("din output is ASCII"))

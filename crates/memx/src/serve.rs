@@ -1071,7 +1071,7 @@ fn handle_job(stream: &mut TcpStream, shared: &ServerShared, body: &[u8]) -> io:
                     // inline), so anything of that class is a 500.
                     let code = match &err {
                         RunError::Io(_) => 500,
-                        RunError::Geometry(_) => 400,
+                        RunError::Geometry(_) | RunError::Bounds(_) => 400,
                         RunError::Other(_) => 422,
                     };
                     drop(flight); // abandon: waiters retry, nothing cached
@@ -1421,8 +1421,7 @@ pub fn submit(req: &SubmitRequest) -> Result<Output, RunError> {
     let is_trace = commands::is_din_path(&req.file);
     if !is_trace {
         // Fail on an unparsable kernel locally — no point shipping it.
-        parse_kernel(&workload_text)
-            .map_err(|e| RunError::Other(format!("{}: {e}", req.file).into()))?;
+        parse_kernel(&workload_text).map_err(|e| commands::kernel_error(&req.file, e))?;
     }
     if let Some(budget) = req.wait_health_secs {
         if !wait_health(&req.addr, Duration::from_secs_f64(budget)) {

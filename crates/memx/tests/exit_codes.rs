@@ -4,9 +4,9 @@
 //! * 1 — runtime failure (parse error, infeasible grid, …)
 //! * 2 — invalid CLI input, invalid cache geometry (non-power-of-two
 //!   size/line/assoc — the shift-based address math would silently
-//!   mis-index), **or** an I/O failure (unreadable input, unwritable or
-//!   corrupt checkpoint), always with a one-line `error: …` message on
-//!   stderr
+//!   mis-index), a kernel whose subscript leaves its array, **or** an I/O
+//!   failure (unreadable input, unwritable or corrupt checkpoint), always
+//!   with a one-line `error: …` message on stderr
 //!
 //! These run the real binary (`CARGO_BIN_EXE_memx`) so the contract is
 //! pinned end to end, not just at the library layer.
@@ -161,6 +161,34 @@ fn runtime_failures_are_exit_one() {
     std::fs::write(&bad, "this is not a kernel").expect("tempdir writable");
     let out = memx(&["classes", bad.to_str().expect("utf8 path")]);
     assert_eq!(exit_code(&out), 1, "stderr: {}", stderr(&out));
+}
+
+#[test]
+fn out_of_bounds_kernel_is_exit_two_one_line() {
+    let scratch = Scratch::new("bounds");
+    let bad = scratch.path("oob.mx");
+    std::fs::write(
+        &bad,
+        "kernel Bad\narray a[8] elem 4\nfor i = 0 .. 8\n  read a[i]\n",
+    )
+    .expect("tempdir writable");
+    let bad = bad.to_str().expect("utf8 path");
+    for args in [
+        vec!["explore", bad],
+        vec!["pareto", bad],
+        vec!["search", bad],
+        vec!["trace", bad],
+        vec!["simulate", bad, "--cache", "64", "--line", "8"],
+    ] {
+        let out = memx(&args);
+        assert_eq!(exit_code(&out), 2, "{args:?}: {}", stderr(&out));
+        assert_one_line_error(&out);
+        assert!(
+            stderr(&out).contains("line 4: subscript 0 of `a` out of bounds: 8 not in 0..8"),
+            "{args:?}: {}",
+            stderr(&out)
+        );
+    }
 }
 
 #[test]

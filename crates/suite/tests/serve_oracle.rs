@@ -152,6 +152,22 @@ fn health_stats_and_error_paths_are_typed() {
         post("/v1/jobs", &job_body("explore", "not a kernel", "")).code,
         400
     );
+    // A kernel that indexes past its array is rejected up front, naming
+    // the array and dimension, instead of panicking a sweep worker.
+    let oob = post(
+        "/v1/jobs",
+        &job_body(
+            "explore",
+            "kernel Bad\narray a[8] elem 4\nfor i = 0 .. 8\n  read a[i]\n",
+            "",
+        ),
+    );
+    assert_eq!(oob.code, 400);
+    assert!(
+        body_str(&body_json(&oob), "error").contains("subscript 0 of `a` out of bounds"),
+        "{:?}",
+        String::from_utf8_lossy(&oob.body)
+    );
     assert_eq!(post("/v1/nope", "{}").code, 404);
     assert_eq!(get("/v1/jobs").code, 405);
 
