@@ -88,7 +88,7 @@ mod tests {
             .collect();
         let analytic =
             try_group_records(&eval, footprint, &bank, &trace).expect("ample caches classify");
-        let replayed = eval.evaluate_bank_with_trace(&bank, &trace);
+        let replayed = eval.evaluate_bank_with_trace(&bank, &trace, None);
         assert_eq!(analytic, replayed);
     }
 

@@ -17,27 +17,25 @@
 //! designs). [`Engine::PerDesign`] keeps one design per steal as the
 //! differential reference. Records are written into per-design slots
 //! either way, so the returned order is the deterministic sweep order
-//! regardless of scheduling or engine.
+//! regardless of scheduling or engine. Every sweep runs supervised, on
+//! the executor it shares with the streamed `.din` sweep (see
+//! [`supervisor`](crate::supervisor)).
 
-use crate::analytic::{kernel_footprint_bytes, try_group_records};
 use crate::checkpoint::CheckpointError;
+use crate::executor::Deadline;
 use crate::metrics::{fill_reads, CacheDesign, Evaluator, Record};
 use crate::obs::{FieldValue, LatencyHistogram, Obs, Span};
+use crate::supervisor::SweepOptions;
 use crate::telemetry::SweepTelemetry;
 use loopir::transform::tile_all;
 use loopir::{CompiledTrace, DataLayout, Kernel};
-use memsim::{CompressedTrace, Replacement, TraceArena, TraceEvent, WritePolicy};
+use memsim::{Replacement, TraceArena, TraceEvent, WritePolicy};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
-
-/// How often the fused bank reports scanned-event progress to the
-/// observability counters (events per tick). Coarse enough that the
-/// per-chunk overhead vanishes, fine enough that the progress line moves.
-pub(crate) const OBS_TICK_EVENTS: usize = 1 << 16;
 
 /// The swept parameter ranges (all powers of two, per the paper's
 /// `Algorithm MemExplore`).
@@ -427,27 +425,29 @@ impl Default for Explorer {
     }
 }
 
-/// The shared preparation of a sweep: the layout phase (one off-chip
+/// The kernel sweep's preparation: the layout phase (one off-chip
 /// placement per distinct `(T, L)` pair) and the trace phase (one
 /// materialized trace per distinct (deduplicated layout, tiling) key,
-/// interned into a [`TraceArena`]). Both the plain sweep and the
-/// supervised sweep run phases 3–4 over one of these.
+/// interned into a [`TraceArena`]). The supervised sweep replays its
+/// trace groups straight from this arena.
 pub(crate) struct SweepPlan {
-    /// Distinct `(T, L)` pairs in first-appearance order.
-    pub pairs: Vec<(usize, usize)>,
-    /// `(T, L)` → index into [`pairs`](Self::pairs).
-    pub pair_index: HashMap<(usize, usize), usize>,
-    /// Conflict-free flag per pair (belongs to the pair, not the layout:
-    /// pairs with equal layout contents can differ here).
+    /// Per design: the index of the trace it replays. Traces are numbered
+    /// in first-appearance order over the grid.
+    pub trace_index: Vec<usize>,
+    /// Per design: the conflict-free flag of its `(T, L)` pair (pairs
+    /// with equal layout contents can differ here).
     pub conflict_free: Vec<bool>,
-    /// Unique-layout id per pair (layouts deduplicated by value).
-    pub layout_id: Vec<usize>,
-    /// Distinct (layout id, tiling) trace keys in first-appearance order.
-    pub keys: Vec<(usize, u64)>,
-    /// Trace key → index into [`keys`](Self::keys).
-    pub key_index: HashMap<(usize, u64), usize>,
-    /// The shared trace storage, one immutable slice per key.
-    pub arena: TraceArena<(usize, u64)>,
+    /// The shared trace storage, one immutable slice per trace index.
+    pub arena: TraceArena<usize>,
+    /// False when the deadline expired before every trace was generated;
+    /// the plan then has nothing to replay.
+    pub complete: bool,
+    /// Layouts actually computed (fewer than the pairs when cancelled).
+    pub layouts_computed: usize,
+    /// Traces actually generated.
+    pub traces_generated: usize,
+    /// Events written into the arena.
+    pub events_generated: u64,
     /// Wall time of the layout phase.
     pub layout_time: Duration,
     /// Wall time of the trace phase.
@@ -455,47 +455,22 @@ pub(crate) struct SweepPlan {
 }
 
 impl SweepPlan {
-    /// The conflict-free flag of a design's `(T, L)` pair.
-    pub fn conflict_free_of(&self, d: &CacheDesign) -> bool {
-        self.conflict_free[self.pair_index[&(d.cache_size, d.line)]]
-    }
-
-    /// The trace key a design replays.
-    pub fn key_of(&self, d: &CacheDesign) -> (usize, u64) {
-        (
-            self.layout_id[self.pair_index[&(d.cache_size, d.line)]],
-            d.tiling,
-        )
-    }
-
-    /// The arena slice a design replays.
-    pub fn trace_of(&self, d: &CacheDesign) -> &[TraceEvent] {
+    /// The arena slice design `i` replays.
+    pub fn trace(&self, i: usize) -> &[TraceEvent] {
         self.arena
-            .get(&self.key_of(d))
+            .get(&self.trace_index[i])
             .expect("trace phase interned every key")
     }
 
-    /// Trace groups over `designs`: `groups[k]` lists the indices of every
-    /// design replaying key `k`, in sweep order — the fused engine's units
-    /// of work.
-    pub fn groups(&self, designs: &[CacheDesign]) -> Vec<Vec<usize>> {
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.keys.len()];
-        for (i, d) in designs.iter().enumerate() {
-            groups[self.key_index[&self.key_of(d)]].push(i);
+    /// Trace groups: `groups[k]` lists, in sweep order, every design that
+    /// replays trace `k` — the fused engine's units of work.
+    pub fn groups(&self) -> Vec<Vec<usize>> {
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); self.traces_generated];
+        for (i, &k) in self.trace_index.iter().enumerate() {
+            groups[k].push(i);
         }
         groups
     }
-}
-
-/// The fused engine's prepared work units: trace groups with their event
-/// counts, the closed-form records of every analytic-exact group, and the
-/// compressed trace of every must-simulate group. Built between the trace
-/// and simulate phases; once it exists the raw arena can be dropped.
-struct FusedPrep {
-    groups: Vec<Vec<usize>>,
-    group_events: Vec<usize>,
-    analytic_records: Vec<Option<Vec<Record>>>,
-    ztraces: Vec<Option<CompressedTrace>>,
 }
 
 impl Explorer {
@@ -559,23 +534,28 @@ impl Explorer {
         self.explore_designs_with_telemetry(kernel, &space.designs())
     }
 
-    /// The trace-once, simulate-many engine behind every sweep.
+    /// The trace-once, simulate-many sweep.
     ///
-    /// Four phases, the first three work-stealing over scoped threads:
+    /// Four phases, each work-stealing over scoped threads:
     ///
     /// 1. **layout** — one off-chip placement per distinct `(T, L)` pair
     ///    (placement does not depend on `S` or `B`);
     /// 2. **trace** — one access trace per distinct (layout value, `B`)
-    ///    key, assembled into a shared [`TraceArena`] in first-appearance
+    ///    key, written into a shared [`TraceArena`] in first-appearance
     ///    order;
     /// 3. **simulate** — with [`Engine::Fused`] the work unit is a *trace
     ///    group* (one arena slice plus the bank of designs keyed to it):
-    ///    workers steal groups and a `memsim::ReplayBank` streams the
-    ///    slice once, stepping every design in lockstep. With
-    ///    [`Engine::PerDesign`] workers steal individual designs and each
-    ///    re-scans its slice. Either way, records scatter into per-design
-    ///    slots;
+    ///    workers steal groups, resolve them in closed form when the
+    ///    analytic fast path applies, and otherwise stream the slice once
+    ///    through a `memsim::ReplayBank` that steps every design in
+    ///    lockstep. With [`Engine::PerDesign`] workers steal individual
+    ///    designs and each re-scans its slice. Either way, records scatter
+    ///    into per-design slots;
     /// 4. **select** — slots are collected into sweep order.
+    ///
+    /// This is the supervised sweep
+    /// ([`explore_supervised`](Self::explore_supervised)) with default
+    /// options.
     pub fn explore_designs_with_telemetry(
         &self,
         kernel: &Kernel,
@@ -586,16 +566,21 @@ impl Explorer {
     }
 
     /// Runs the layout and trace phases over `designs` and interns the
-    /// result — the part of the sweep shared by the plain and supervised
-    /// engines. A worker panic here is a whole-phase failure (layouts and
+    /// result. A worker panic here is a whole-phase failure (layouts and
     /// traces are inputs to *every* design), so it propagates as
     /// [`ExploreError::WorkerPanic`] rather than being isolated per unit.
+    ///
+    /// The deadline is checked before every layout and trace job. Once it
+    /// has expired the remaining jobs are skipped — and so is the arena
+    /// allocation, when the layout phase was cut short — and the plan
+    /// comes back incomplete.
     pub(crate) fn prepare(
         &self,
         kernel: &Kernel,
         designs: &[CacheDesign],
         workers: usize,
         hists: &SweepHists,
+        deadline: &Deadline,
     ) -> Result<SweepPlan, ExploreError> {
         let obs = self.obs.as_deref();
         // Phase 1: off-chip layouts, one per distinct (T, L).
@@ -612,6 +597,9 @@ impl Explorer {
         let layout_slots: Vec<OnceLock<(DataLayout, bool)>> =
             pairs.iter().map(|_| OnceLock::new()).collect();
         try_steal_loop(workers, pairs.len(), |w, i| {
+            if deadline.expired() {
+                return;
+            }
             let (t, l) = pairs[i];
             let unit_start = Instant::now();
             let _ = layout_slots[i].set(self.evaluator.layout_for(kernel, t, l));
@@ -635,7 +623,24 @@ impl Explorer {
             message,
         })?;
         drop(span);
-        let layout_time = phase_start.elapsed();
+        let layouts: Vec<(DataLayout, bool)> = layout_slots
+            .into_iter()
+            .filter_map(OnceLock::into_inner)
+            .collect();
+        let mut plan = SweepPlan {
+            trace_index: Vec::with_capacity(designs.len()),
+            conflict_free: Vec::with_capacity(designs.len()),
+            arena: TraceArena::new(),
+            complete: false,
+            layouts_computed: layouts.len(),
+            traces_generated: 0,
+            events_generated: 0,
+            layout_time: phase_start.elapsed(),
+            trace_time: Duration::ZERO,
+        };
+        if layouts.len() < pairs.len() || deadline.expired() {
+            return Ok(plan);
+        }
 
         // Phase 2: traces. A trace depends on the layout *contents* and the
         // tiling — not on (T, L) directly — and distinct (T, L) pairs often
@@ -644,18 +649,11 @@ impl Explorer {
         // reorders the loop nest, so the tiled kernel is shared per B.
         let phase_start = Instant::now();
         let span = Span::begin(obs, "trace");
-        let mut tiled: HashMap<u64, Kernel> = HashMap::new();
-        for d in designs {
-            tiled
-                .entry(d.tiling)
-                .or_insert_with(|| tile_all(kernel, d.tiling));
-        }
-        let mut conflict_free = Vec::with_capacity(pairs.len());
+        let (layouts, pair_conflict_free): (Vec<DataLayout>, Vec<bool>) =
+            layouts.into_iter().unzip();
         let mut unique_layouts: Vec<DataLayout> = Vec::new();
-        let mut layout_id = Vec::with_capacity(pairs.len());
-        for slot in layout_slots {
-            let (layout, cf) = slot.into_inner().expect("layout phase filled every slot");
-            conflict_free.push(cf);
+        let mut layout_id = Vec::with_capacity(layouts.len());
+        for layout in layouts {
             match unique_layouts.iter().position(|u| *u == layout) {
                 Some(id) => layout_id.push(id),
                 None => {
@@ -664,14 +662,21 @@ impl Explorer {
                 }
             }
         }
+        let mut tiled: HashMap<u64, Kernel> = HashMap::new();
         let mut key_index: HashMap<(usize, u64), usize> = HashMap::new();
         let mut keys: Vec<(usize, u64)> = Vec::new();
         for d in designs {
-            let id = layout_id[pair_index[&(d.cache_size, d.line)]];
-            key_index.entry((id, d.tiling)).or_insert_with(|| {
-                keys.push((id, d.tiling));
+            let pair = pair_index[&(d.cache_size, d.line)];
+            let key = (layout_id[pair], d.tiling);
+            let k = *key_index.entry(key).or_insert_with(|| {
+                keys.push(key);
                 keys.len() - 1
             });
+            plan.trace_index.push(k);
+            plan.conflict_free.push(pair_conflict_free[pair]);
+            tiled
+                .entry(d.tiling)
+                .or_insert_with(|| tile_all(kernel, d.tiling));
         }
         // Each trace is compiled and counted first, so the arena is sized
         // exactly once and workers write their traces straight into it.
@@ -679,18 +684,24 @@ impl Explorer {
             .iter()
             .map(|&(id, b)| CompiledTrace::new(&tiled[&b], &unique_layouts[id], true))
             .collect();
+        let generated = AtomicUsize::new(0);
         let (arena, filled) = TraceArena::fill_in_place(
-            keys.iter()
-                .zip(&compiled)
-                .map(|(&key, c)| (key, c.event_count() as usize)),
+            compiled
+                .iter()
+                .enumerate()
+                .map(|(k, c)| (k, c.event_count() as usize)),
             |slices| {
                 let slots: Vec<Mutex<&mut [TraceEvent]>> =
                     slices.into_iter().map(Mutex::new).collect();
-                try_steal_loop(workers, keys.len(), |_w, i| {
+                try_steal_loop(workers, slots.len(), |_w, i| {
+                    if deadline.expired() {
+                        return;
+                    }
                     let mut slot = slots[i]
                         .lock()
                         .expect("a slot is locked only by its own job");
                     fill_reads(&compiled[i], &mut slot);
+                    generated.fetch_add(1, Ordering::Relaxed);
                 })
             },
         );
@@ -699,311 +710,39 @@ impl Explorer {
             message,
         })?;
         drop(span);
-        let trace_time = phase_start.elapsed();
-
-        Ok(SweepPlan {
-            pairs,
-            pair_index,
-            conflict_free,
-            layout_id,
-            keys,
-            key_index,
-            arena,
-            layout_time,
-            trace_time,
-        })
+        plan.traces_generated = generated.into_inner();
+        plan.complete = plan.traces_generated == keys.len();
+        if plan.complete {
+            plan.events_generated = arena.events().len() as u64;
+            plan.arena = arena;
+        } else {
+            // A cancelled trace phase leaves unwritten slices: drop them.
+            plan.events_generated = compiled
+                .iter()
+                .take(plan.traces_generated)
+                .map(CompiledTrace::event_count)
+                .sum();
+        }
+        plan.trace_time = phase_start.elapsed();
+        Ok(plan)
     }
 
     /// Fallible [`explore_designs_with_telemetry`](Self::explore_designs_with_telemetry):
-    /// a worker panic in any phase surfaces as a typed
-    /// [`ExploreError`] instead of a process abort. For *per-unit* panic
-    /// isolation (quarantine, fallback, checkpointing), use the supervised
-    /// sweep in [`supervisor`](crate::supervisor).
+    /// a panic that survives the per-design fallback surfaces as a typed
+    /// [`ExploreError::WorkerPanic`] instead of a process abort. For
+    /// partial results (quarantine, checkpointing, deadlines), use
+    /// [`explore_supervised`](Self::explore_supervised).
     pub fn try_explore_designs_with_telemetry(
         &self,
         kernel: &Kernel,
         designs: &[CacheDesign],
     ) -> Result<(Vec<Record>, SweepTelemetry), ExploreError> {
-        let sweep_start = Instant::now();
-        let workers = self.worker_count(designs.len());
-        let obs = self.obs.as_deref();
-        if let Some(o) = obs {
-            o.counters
-                .total
-                .fetch_add(designs.len() as u64, Ordering::Relaxed);
-        }
-        let hists = SweepHists::default();
-        let mut plan = self.prepare(kernel, designs, workers, &hists)?;
-        let events_generated = plan.arena.events().len() as u64;
-
-        // Phases 2b/2c (fused engine only): classify each trace group as
-        // analytic-exact vs must-simulate, then delta-compress the traces
-        // the must-simulate groups will replay and drop the raw arena.
-        // Both run in their own windows (`classify_time`, `compress_time`)
-        // so the simulate phase stays a pure replay measurement; only the
-        // block decode rides inside it.
-        let mut classify_time = Duration::ZERO;
-        let mut compress_time = Duration::ZERO;
-        let mut analytic_groups = 0usize;
-        let mut arena_bytes = 0u64;
-        let mut arena_compressed_bytes = 0u64;
-        let mut fused_prep: Option<FusedPrep> = None;
-        if self.engine == Engine::Fused {
-            let groups = plan.groups(designs);
-            let group_events: Vec<usize> = (0..groups.len())
-                .map(|g| {
-                    plan.arena
-                        .get(&plan.keys[g])
-                        .expect("trace phase interned every key")
-                        .len()
-                })
-                .collect();
-
-            let phase_start = Instant::now();
-            let analytic_slots: Vec<OnceLock<Option<Vec<Record>>>> =
-                groups.iter().map(|_| OnceLock::new()).collect();
-            if self.analytic && !self.evaluator.scalar_replay {
-                let span = Span::begin(obs, "classify");
-                let footprint = kernel_footprint_bytes(kernel);
-                try_steal_loop(workers, groups.len(), |_w, g| {
-                    let trace = plan
-                        .arena
-                        .get(&plan.keys[g])
-                        .expect("trace phase interned every key");
-                    let bank: Vec<(CacheDesign, bool)> = groups[g]
-                        .iter()
-                        .map(|&i| (designs[i], plan.conflict_free_of(&designs[i])))
-                        .collect();
-                    let _ = analytic_slots[g].set(try_group_records(
-                        &self.evaluator,
-                        footprint,
-                        &bank,
-                        trace,
-                    ));
-                })
-                .map_err(|message| ExploreError::WorkerPanic {
-                    phase: "classify",
-                    message,
-                })?;
-                drop(span);
-            }
-            let analytic_records: Vec<Option<Vec<Record>>> = analytic_slots
-                .into_iter()
-                .map(|s| s.into_inner().flatten())
-                .collect();
-            analytic_groups = analytic_records.iter().filter(|r| r.is_some()).count();
-            classify_time = phase_start.elapsed();
-
-            let phase_start = Instant::now();
-            let span = Span::begin(obs, "compress");
-            let ztrace_slots: Vec<OnceLock<Option<CompressedTrace>>> =
-                groups.iter().map(|_| OnceLock::new()).collect();
-            try_steal_loop(workers, groups.len(), |_w, g| {
-                let _ = ztrace_slots[g].set(if analytic_records[g].is_some() {
-                    None
-                } else {
-                    Some(CompressedTrace::encode(
-                        plan.arena
-                            .get(&plan.keys[g])
-                            .expect("trace phase interned every key"),
-                    ))
-                });
+        self.explore_supervised(kernel, designs, &SweepOptions::default())?
+            .into_complete()
+            .map_err(|e| ExploreError::WorkerPanic {
+                phase: "simulate",
+                message: e.message,
             })
-            .map_err(|message| ExploreError::WorkerPanic {
-                phase: "compress",
-                message,
-            })?;
-            let ztraces: Vec<Option<CompressedTrace>> = ztrace_slots
-                .into_iter()
-                .map(|s| s.into_inner().expect("compress phase filled every slot"))
-                .collect();
-            arena_bytes = events_generated * std::mem::size_of::<TraceEvent>() as u64;
-            arena_compressed_bytes = ztraces
-                .iter()
-                .flatten()
-                .map(|z| z.compressed_bytes() as u64)
-                .sum();
-            // The raw arena is no longer needed: analytic groups are
-            // already resolved and the rest replay from compressed form.
-            plan.arena = TraceArena::new();
-            drop(span);
-            compress_time = phase_start.elapsed();
-
-            fused_prep = Some(FusedPrep {
-                groups,
-                group_events,
-                analytic_records,
-                ztraces,
-            });
-        }
-
-        // Phase 3: simulate. The conflict-free flag rides with each design
-        // (it belongs to the design's own (T, L) pair, which can differ
-        // within a trace group even though the layout contents agree).
-        let phase_start = Instant::now();
-        let span = Span::begin(obs, "simulate");
-        let record_slots: Vec<OnceLock<Record>> = designs.iter().map(|_| OnceLock::new()).collect();
-        let replayed = AtomicUsize::new(0);
-        let scanned = AtomicUsize::new(0);
-        let (worker_busy, fused_groups, max_bank_width) = match self.engine {
-            Engine::Fused => {
-                // Trace groups: every design keyed to the same slice forms
-                // one bank. Analytic groups scatter their precomputed
-                // records; the rest stream their compressed trace once
-                // through a lockstep replay bank.
-                let FusedPrep {
-                    groups,
-                    group_events,
-                    analytic_records,
-                    ztraces,
-                } = fused_prep.take().expect("fused prep ran for this engine");
-                let max_width = groups.iter().map(Vec::len).max().unwrap_or(0);
-                let busy = try_steal_loop(workers, groups.len(), |w, g| {
-                    let members = &groups[g];
-                    let events = group_events[g];
-                    replayed.fetch_add(events * members.len(), Ordering::Relaxed);
-                    let unit_start = Instant::now();
-                    if let Some(records) = &analytic_records[g] {
-                        for (&i, record) in members.iter().zip(records) {
-                            let _ = record_slots[i].set(record.clone());
-                        }
-                        let dur = unit_start.elapsed();
-                        if let Some(o) = obs {
-                            o.counters.add_done(members.len() as u64);
-                            o.unit(
-                                "simulate",
-                                "analytic",
-                                w as u64,
-                                dur,
-                                &[
-                                    ("events", FieldValue::U64(events as u64)),
-                                    ("width", FieldValue::U64(members.len() as u64)),
-                                    ("fresh", FieldValue::U64(members.len() as u64)),
-                                ],
-                            );
-                        }
-                        return;
-                    }
-                    scanned.fetch_add(events, Ordering::Relaxed);
-                    let ztrace = ztraces[g]
-                        .as_ref()
-                        .expect("must-simulate groups were compressed");
-                    let bank: Vec<(CacheDesign, bool)> = members
-                        .iter()
-                        .map(|&i| (designs[i], plan.conflict_free_of(&designs[i])))
-                        .collect();
-                    let records = match obs {
-                        Some(o) => self.evaluator.evaluate_bank_with_ztrace(
-                            &bank,
-                            ztrace,
-                            Some(&|n| o.counters.add_events(n)),
-                        ),
-                        None => self
-                            .evaluator
-                            .evaluate_bank_with_ztrace(&bank, ztrace, None),
-                    };
-                    let dur = unit_start.elapsed();
-                    hists.scan.record(dur);
-                    for (&i, record) in members.iter().zip(records) {
-                        let _ = record_slots[i].set(record);
-                    }
-                    if let Some(o) = obs {
-                        o.counters.add_done(members.len() as u64);
-                        o.unit(
-                            "simulate",
-                            "scan",
-                            w as u64,
-                            dur,
-                            &[
-                                ("events", FieldValue::U64(events as u64)),
-                                ("width", FieldValue::U64(members.len() as u64)),
-                                ("fresh", FieldValue::U64(members.len() as u64)),
-                            ],
-                        );
-                    }
-                });
-                (busy, groups.len(), max_width)
-            }
-            Engine::PerDesign => {
-                let busy = try_steal_loop(workers, designs.len(), |w, i| {
-                    let d = designs[i];
-                    let trace = plan.trace_of(&d);
-                    replayed.fetch_add(trace.len(), Ordering::Relaxed);
-                    scanned.fetch_add(trace.len(), Ordering::Relaxed);
-                    let unit_start = Instant::now();
-                    let _ = record_slots[i].set(self.evaluator.evaluate_with_trace(
-                        d,
-                        trace,
-                        plan.conflict_free_of(&d),
-                    ));
-                    let dur = unit_start.elapsed();
-                    hists.design.record(dur);
-                    if let Some(o) = obs {
-                        o.counters.add_done(1);
-                        o.counters.add_events(trace.len() as u64);
-                        o.unit(
-                            "simulate",
-                            "sim",
-                            w as u64,
-                            dur,
-                            &[("events", FieldValue::U64(trace.len() as u64))],
-                        );
-                    }
-                });
-                (busy, 0, 0)
-            }
-        };
-        drop(span);
-        let worker_busy = worker_busy.map_err(|message| ExploreError::WorkerPanic {
-            phase: "simulate",
-            message,
-        })?;
-        let simulate_time = phase_start.elapsed();
-
-        // Phase 4: collect records back into sweep order.
-        let phase_start = Instant::now();
-        let span = Span::begin(obs, "select");
-        let records: Vec<Record> = record_slots
-            .into_iter()
-            .map(|s| s.into_inner().expect("simulate phase filled every slot"))
-            .collect();
-        drop(span);
-        let select_time = phase_start.elapsed();
-
-        let mut telemetry = SweepTelemetry {
-            designs_evaluated: designs.len(),
-            layouts_computed: plan.pairs.len(),
-            traces_generated: plan.keys.len(),
-            trace_events_generated: events_generated,
-            trace_events_replayed: replayed.into_inner() as u64,
-            trace_events_scanned: scanned.into_inner() as u64,
-            fused_groups,
-            max_bank_width,
-            analytic_groups,
-            simulated_groups: fused_groups - analytic_groups,
-            arena_bytes,
-            arena_compressed_bytes,
-            workers,
-            layout_time: plan.layout_time,
-            trace_time: plan.trace_time,
-            classify_time,
-            compress_time,
-            simulate_time,
-            select_time,
-            total_time: sweep_start.elapsed(),
-            worker_busy,
-            ..SweepTelemetry::default()
-        };
-        hists.fill(&mut telemetry);
-        // Busy time is measured strictly inside the simulate window, so
-        // the true (unclamped) utilization can only exceed 1 by clock
-        // noise; anything more means busy-time overcounting.
-        debug_assert!(
-            telemetry.worker_utilization() <= 1.05,
-            "worker busy time overcounted: utilization {}",
-            telemetry.worker_utilization()
-        );
-        Ok((records, telemetry))
     }
 }
 

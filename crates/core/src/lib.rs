@@ -43,6 +43,7 @@ pub mod cache;
 pub mod checkpoint;
 pub mod composite;
 pub mod cycles;
+mod executor;
 pub mod explore;
 pub mod fault;
 pub mod hierarchy;

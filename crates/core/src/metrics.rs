@@ -7,10 +7,14 @@ use energy::SramPart;
 use loopir::transform::tile_all;
 use loopir::{CompiledTrace, DataLayout, Kernel};
 use memsim::{
-    BusEncoding, CacheConfig, CompressedTrace, Replacement, ReplayBank, Simulator, TraceEvent,
-    WritePolicy,
+    BusEncoding, CacheConfig, Replacement, ReplayBank, Simulator, TraceEvent, WritePolicy,
 };
 use std::fmt;
+
+/// How often a metered bank scan reports scanned-event progress to the
+/// observability counters (events per tick). Coarse enough that the
+/// per-chunk overhead vanishes, fine enough that the progress line moves.
+const TICK_EVENTS: usize = 1 << 16;
 
 /// One point of the design space: the paper's `(T, L, S, B)`, extended
 /// with the simulator's replacement and write policies as first-class
@@ -302,6 +306,11 @@ impl Evaluator {
     /// [`evaluate_with_trace`](Self::evaluate_with_trace) would produce for
     /// that design alone (see `memsim::ReplayBank` for the argument).
     ///
+    /// `tick`, when given, is called after every 65 536 events scanned (and once at the end with the remainder), so an
+    /// observability layer can meter throughput mid-scan. Records do not
+    /// depend on it: bank state persists across chunk boundaries, so
+    /// chunked replay is the same computation.
+    ///
     /// # Panics
     ///
     /// Same conditions as [`evaluate`](Self::evaluate), for any design in
@@ -310,75 +319,6 @@ impl Evaluator {
         &self,
         designs: &[(CacheDesign, bool)],
         trace: &[TraceEvent],
-    ) -> Vec<Record> {
-        let configs: Vec<CacheConfig> = designs
-            .iter()
-            .map(|(design, _)| {
-                design
-                    .cache_config()
-                    .unwrap_or_else(|e| panic!("invalid design {design}: {e}"))
-            })
-            .collect();
-        let mut bank = ReplayBank::with_options(&configs, self.bus_encoding, false);
-        if self.scalar_replay {
-            bank = bank.with_scalar_replay();
-        }
-        bank.run_slice(trace);
-        bank.into_reports()
-            .iter()
-            .zip(designs)
-            .map(|(report, &(design, conflict_free))| {
-                self.record_from_report(design, report, conflict_free)
-            })
-            .collect()
-    }
-
-    /// [`evaluate_bank_with_trace`](Self::evaluate_bank_with_trace) with a
-    /// progress hook: `tick(n)` is called after roughly every `every`
-    /// trace events scanned (and once at the end with the remainder), so
-    /// an observability layer can meter throughput mid-scan. Records are
-    /// bit-identical to the untracked variant — bank state persists across
-    /// chunk boundaries, so chunked replay is the same computation.
-    pub fn evaluate_bank_with_trace_ticked(
-        &self,
-        designs: &[(CacheDesign, bool)],
-        trace: &[TraceEvent],
-        every: usize,
-        tick: &(dyn Fn(u64) + Sync),
-    ) -> Vec<Record> {
-        let configs: Vec<CacheConfig> = designs
-            .iter()
-            .map(|(design, _)| {
-                design
-                    .cache_config()
-                    .unwrap_or_else(|e| panic!("invalid design {design}: {e}"))
-            })
-            .collect();
-        let mut bank = ReplayBank::with_options(&configs, self.bus_encoding, false);
-        if self.scalar_replay {
-            bank = bank.with_scalar_replay();
-        }
-        bank.run_slice_ticked(trace, every, tick);
-        bank.into_reports()
-            .iter()
-            .zip(designs)
-            .map(|(report, &(design, conflict_free))| {
-                self.record_from_report(design, report, conflict_free)
-            })
-            .collect()
-    }
-
-    /// [`evaluate_bank_with_trace`](Self::evaluate_bank_with_trace)
-    /// streaming from a delta-compressed trace: each decoded block is fed
-    /// to the bank in turn, so replay never needs the raw events resident.
-    /// `tick`, when given, is called once per block with the block's event
-    /// count. Records are bit-identical to the uncompressed variant — the
-    /// bank's chunk-invariance contract covers block boundaries exactly as
-    /// it covers chunk boundaries.
-    pub fn evaluate_bank_with_ztrace(
-        &self,
-        designs: &[(CacheDesign, bool)],
-        ztrace: &CompressedTrace,
         tick: Option<&(dyn Fn(u64) + Sync)>,
     ) -> Vec<Record> {
         let configs: Vec<CacheConfig> = designs
@@ -393,19 +333,11 @@ impl Evaluator {
         if self.scalar_replay {
             bank = bank.with_scalar_replay();
         }
-        ztrace.replay(|block| {
-            bank.feed(block);
-            if let Some(tick) = tick {
-                tick(block.len() as u64);
-            }
-        });
-        bank.finish()
-            .iter()
-            .zip(designs)
-            .map(|(report, &(design, conflict_free))| {
-                self.record_from_report(design, report, conflict_free)
-            })
-            .collect()
+        match tick {
+            Some(tick) => bank.run_slice_ticked(trace, TICK_EVENTS, tick),
+            None => bank.run_slice(trace),
+        }
+        self.evaluate_bank_reports(designs, &bank.into_reports())
     }
 
     /// Converts finished [`memsim::SimReport`]s of a bank scan into

@@ -66,7 +66,7 @@
 //! both stay bit-identical to the per-design engine.
 
 use crate::analytic::{kernel_footprint_bytes, try_group_records};
-use crate::explore::{steal_loop, DesignSpace, Engine, Explorer, SweepHists, OBS_TICK_EVENTS};
+use crate::explore::{steal_loop, DesignSpace, Engine, Explorer, SweepHists};
 use crate::metrics::{read_trace, CacheDesign, Record};
 use crate::obs::{FieldValue, Span};
 use crate::select::pareto3;
@@ -405,15 +405,16 @@ impl Explorer {
                                 }
                             }
                             scanned.fetch_add(trace.len(), Ordering::Relaxed);
-                            let records = match obs {
-                                Some(o) => self.evaluator.evaluate_bank_with_trace_ticked(
-                                    &bank,
-                                    trace,
-                                    OBS_TICK_EVENTS,
-                                    &|n| o.counters.add_events(n),
-                                ),
-                                None => self.evaluator.evaluate_bank_with_trace(&bank, trace),
+                            let tick = |n| {
+                                if let Some(o) = obs {
+                                    o.counters.add_events(n);
+                                }
                             };
+                            let records = self.evaluator.evaluate_bank_with_trace(
+                                &bank,
+                                trace,
+                                obs.map(|_| &tick as &(dyn Fn(u64) + Sync)),
+                            );
                             let dur = unit_start.elapsed();
                             hists.scan.record(dur);
                             for (&i, record) in members.iter().zip(records) {

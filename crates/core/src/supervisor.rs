@@ -1,16 +1,21 @@
-//! Fault-isolated sweep supervision: panic quarantine, engine fallback,
-//! checkpoint/resume, and deadline-bounded partial results.
+//! The kernel sweep, and the options and results every supervised sweep
+//! shares: panic quarantine, engine fallback, checkpoint/resume, and
+//! deadline-bounded partial results.
 //!
-//! The plain sweep engines ([`Explorer::explore_designs_with_telemetry`])
-//! treat a worker panic as fatal: long exhaustive sweeps lose every
-//! simulated record to one bad design. [`Explorer::explore_supervised`]
-//! instead wraps each *unit of work* — a trace group for the fused
-//! engine, a single design for the per-design engine — in
-//! [`catch_unwind`], and degrades per unit:
+//! Supervision itself lives in the one sweep executor (`executor.rs`),
+//! which the kernel sweep here and the streamed `.din` sweep
+//! ([`crate::workload`]) both run on. This module supplies the kernel
+//! sweep's unit plan and runner. [`Explorer::explore_supervised`] lays
+//! out and generates the traces, then makes each *unit of work* a trace
+//! group for the fused engine, or a single design for the per-design
+//! engine. The runner resolves a group in closed form when the analytic
+//! fast path applies, and otherwise replays its raw arena slice through
+//! a `memsim::ReplayBank`. The executor runs every unit under
+//! `catch_unwind` and degrades per unit:
 //!
 //! * a panicking fused bank scan is **retried** once per member on the
-//!   per-design engine (the fallback path), so one poisoned design in a
-//!   bank cannot take its neighbours down with it;
+//!   per-design path (the fallback), so one poisoned design in a bank
+//!   cannot take its neighbours down with it;
 //! * a panicking single design is **quarantined** into a structured
 //!   [`SweepError`] instead of aborting;
 //! * every unaffected design stays **bit-identical** to a clean run,
@@ -18,29 +23,29 @@
 //!   and write-once output slots.
 //!
 //! With a [`CheckpointPolicy`], completed records are periodically
-//! persisted through [`Checkpoint::write_atomic`]; a killed sweep resumed
-//! from the sidecar file re-simulates only the missing designs and its
-//! final output is bit-identical to an uninterrupted run. A cooperative
-//! [`deadline`](SweepOptions::deadline) is checked at unit boundaries and
-//! turns a timeout into a well-formed partial [`SweepOutcome`] flagged in
+//! persisted through [`Checkpoint::write_atomic`](crate::Checkpoint::write_atomic);
+//! a killed sweep resumed from the sidecar file re-simulates only the
+//! missing designs and its final output is bit-identical to an
+//! uninterrupted run. A cooperative [`deadline`](SweepOptions::deadline)
+//! is checked before every layout job, trace job and unit, and turns a
+//! timeout into a well-formed partial [`SweepOutcome`] flagged in
 //! telemetry. The deterministic [`FaultPlan`] hooks (compiled in by the
 //! `fault-injection` feature) let the suite drive each of these paths on
 //! purpose.
 
-use crate::checkpoint::{fnv1a, Checkpoint, CheckpointError};
-use crate::explore::{panic_message, try_steal_loop, ExploreError, SweepHists, OBS_TICK_EVENTS};
+use crate::analytic::{kernel_footprint_bytes, try_group_records};
+use crate::checkpoint::fnv1a;
+use crate::executor::{execute, Deadline, UnitKind, UnitMode, UnitPlan, UnitRun, UnitRunner};
+use crate::explore::{ExploreError, SweepPlan};
 use crate::fault::FaultPlan;
 use crate::metrics::{CacheDesign, Evaluator, Record};
-use crate::obs::{FieldValue, Span};
 use crate::telemetry::SweepTelemetry;
 use crate::{Engine, Explorer};
 use loopir::Kernel;
+use memsim::TraceEvent;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// How a supervised sweep persists progress.
 #[derive(Debug, Clone)]
@@ -129,6 +134,20 @@ impl SweepOutcome {
     pub fn completed_records(&self) -> Vec<Record> {
         self.records.iter().filter_map(Clone::clone).collect()
     }
+
+    /// The records of a sweep run without a deadline, or the first design
+    /// it quarantined — the contract of the non-supervised entry points.
+    pub(crate) fn into_complete(self) -> Result<(Vec<Record>, SweepTelemetry), SweepError> {
+        if let Some(e) = self.errors.into_iter().next() {
+            return Err(e);
+        }
+        let records = self
+            .records
+            .into_iter()
+            .map(|r| r.expect("no quarantine and no deadline leaves every slot filled"))
+            .collect();
+        Ok((records, self.telemetry))
+    }
 }
 
 /// Stable identity of a sweep configuration, stored in checkpoint
@@ -176,411 +195,119 @@ pub fn sweep_id(kernel: &Kernel, designs: &[CacheDesign], evaluator: &Evaluator)
     fnv1a(&bytes)
 }
 
-/// Mutable checkpoint state shared by workers. Held only for pushes and
-/// flushes — never across a simulation — so a unit panic cannot poison
-/// it mid-update.
-struct Sink {
-    entries: Vec<(usize, Record)>,
-    since_flush: usize,
-    flushes: usize,
-    written: usize,
-    failed: usize,
-}
-
 impl Explorer {
     /// Runs the sweep under the fault-isolation supervisor. Layout and
     /// trace phases are shared inputs to every design, so a panic there
     /// is still a whole-sweep [`ExploreError`]; from the simulate phase
     /// on, failures degrade per unit of work as described in the module
-    /// docs.
+    /// docs. The deadline holds in every phase: once it expires the
+    /// remaining layout, trace and replay work is skipped.
     pub fn explore_supervised(
         &self,
         kernel: &Kernel,
         designs: &[CacheDesign],
         options: &SweepOptions,
     ) -> Result<SweepOutcome, ExploreError> {
-        let sweep_start = Instant::now();
         let workers = self.worker_count(designs.len());
         let id = sweep_id(kernel, designs, &self.evaluator);
-        let obs = self.obs.as_deref();
-        if let Some(o) = obs {
-            o.counters
-                .total
-                .fetch_add(designs.len() as u64, Ordering::Relaxed);
-        }
-
-        // Resume: pre-fill output slots from the sidecar file.
-        let record_slots: Vec<OnceLock<Record>> = designs.iter().map(|_| OnceLock::new()).collect();
-        let mut resumed_entries: Vec<(usize, Record)> = Vec::new();
-        if let Some(policy) = options.checkpoint.as_ref().filter(|p| p.resume) {
-            match Checkpoint::read(&policy.path) {
-                Ok(ck) => {
-                    if ck.sweep_id != id {
-                        return Err(CheckpointError::SweepMismatch {
-                            expected: id,
-                            found: ck.sweep_id,
-                        }
-                        .into());
-                    }
-                    for (idx, mut record) in ck.entries {
-                        if idx >= designs.len() {
-                            return Err(CheckpointError::BadEntry {
-                                index: idx as u64,
-                                designs: designs.len(),
-                            }
-                            .into());
-                        }
-                        // Entries persist geometry only; the sweep id just
-                        // matched, so the grid's design (with policies) is
-                        // the one this record was measured for.
-                        record.design = designs[idx];
-                        let _ = record_slots[idx].set(record.clone());
-                        resumed_entries.push((idx, record));
-                    }
-                }
-                // A missing sidecar just means nothing was completed yet
-                // (the natural state of a fresh `--resume` invocation);
-                // any other failure is a real, reportable error.
-                Err(CheckpointError::Io { ref source, .. })
-                    if source.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        let records_resumed = resumed_entries.len();
-        if let Some(o) = obs {
-            if records_resumed > 0 {
-                o.counters.add_done(records_resumed as u64);
-                o.point(
-                    "supervise",
-                    "resume",
-                    &[("records", FieldValue::U64(records_resumed as u64))],
-                );
-            }
-        }
-
-        let hists = SweepHists::default();
-        let plan = self.prepare(kernel, designs, workers, &hists)?;
-
-        let phase_start = Instant::now();
-        let simulate_span = Span::begin(obs, "simulate");
-        let replayed = AtomicUsize::new(0);
-        let scanned = AtomicUsize::new(0);
-        let retried = AtomicUsize::new(0);
-        let cancelled = AtomicBool::new(false);
-        let deadline = options.deadline.map(|d| sweep_start + d);
-        let errors: Mutex<Vec<SweepError>> = Mutex::new(Vec::new());
-        let sink = Mutex::new(Sink {
-            entries: resumed_entries,
-            since_flush: 0,
-            flushes: 0,
-            written: 0,
-            failed: 0,
-        });
-
-        // Locks in this phase never panic while held (pushes and atomic
-        // file writes only), so a poisoned mutex means a supervisor bug —
-        // recover the data rather than cascading the panic.
-        let quarantine = |e: SweepError| {
-            if let Some(o) = obs {
-                o.counters.quarantined.fetch_add(1, Ordering::Relaxed);
-                o.point(
-                    "supervise",
-                    "quarantine",
-                    &[
-                        ("design", FieldValue::U64(e.design_index as u64)),
-                        ("engine", FieldValue::Str(e.engine.to_string())),
-                        ("message", FieldValue::Str(e.message.clone())),
-                    ],
-                );
-            }
-            errors.lock().unwrap_or_else(|p| p.into_inner()).push(e);
-        };
-        let flush_with_id = |sink: &mut Sink, policy: &CheckpointPolicy| {
-            let nth = sink.flushes;
-            sink.flushes += 1;
-            sink.since_flush = 0;
-            let flush_start = Instant::now();
-            let ok = if options.fault.should_fail_checkpoint(nth) {
-                sink.failed += 1;
-                false
-            } else {
-                let ck = Checkpoint {
-                    sweep_id: id,
-                    entries: sink.entries.clone(),
-                };
-                match ck.write_atomic(&policy.path) {
-                    Ok(()) => {
-                        sink.written += 1;
-                        true
-                    }
-                    // A failed flush loses nothing but recency: the previous
-                    // checkpoint is still intact on disk (atomic rename), so
-                    // the sweep keeps going and the counter reports it.
-                    Err(_) => {
-                        sink.failed += 1;
-                        false
-                    }
-                }
+        execute(self, designs, options, id, workers, |deadline, hists| {
+            let plan = self.prepare(kernel, designs, workers, hists, deadline)?;
+            // A cancelled preparation leaves nothing to replay.
+            let units = match (plan.complete, self.engine) {
+                (false, _) => Vec::new(),
+                (true, Engine::Fused) => plan.groups(),
+                (true, Engine::PerDesign) => (0..designs.len()).map(|i| vec![i]).collect(),
             };
-            let dur = flush_start.elapsed();
-            hists.flush.record(dur);
-            if let Some(o) = obs {
-                o.point(
-                    "checkpoint",
-                    "flush",
-                    &[
-                        (
-                            "dur_us",
-                            FieldValue::U64(u64::try_from(dur.as_micros()).unwrap_or(u64::MAX)),
-                        ),
-                        ("ok", FieldValue::U64(u64::from(ok))),
-                        ("records", FieldValue::U64(sink.entries.len() as u64)),
-                    ],
-                );
-            }
-        };
-        let complete = |idx: usize, record: Record| {
-            if record_slots[idx].set(record.clone()).is_ok() {
-                if let Some(policy) = options.checkpoint.as_ref() {
-                    let mut sink = sink.lock().unwrap_or_else(|p| p.into_inner());
-                    sink.entries.push((idx, record));
-                    sink.since_flush += 1;
-                    if sink.since_flush >= policy.every.max(1) {
-                        flush_with_id(&mut sink, policy);
-                    }
-                }
-            }
-        };
-        let out_of_time = || {
-            if cancelled.load(Ordering::Relaxed) {
-                return true;
-            }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                // `swap` so exactly one worker emits the cancel event.
-                if !cancelled.swap(true, Ordering::Relaxed) {
-                    if let Some(o) = obs {
-                        o.point("supervise", "deadline_cancel", &[]);
-                    }
-                }
-                return true;
-            }
-            false
-        };
-        // Per-design simulation, shared by the per-design engine and the
-        // fused engine's fallback path. `AssertUnwindSafe` is sound here:
-        // the closure only reads the immutable plan/evaluator and a panic
-        // cannot leave a half-written record, because the write-once slot
-        // is only set after the evaluation returns (see also the panic-
-        // safety audit in `memsim::bank`).
-        let simulate_one = |w: usize, i: usize| -> Result<Record, String> {
-            let unit_start = Instant::now();
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                options.fault.maybe_panic_design(i);
-                let d = designs[i];
-                let trace = plan.trace_of(&d);
-                replayed.fetch_add(trace.len(), Ordering::Relaxed);
-                scanned.fetch_add(trace.len(), Ordering::Relaxed);
-                self.evaluator
-                    .evaluate_with_trace(d, trace, plan.conflict_free_of(&d))
-            }))
-            .map_err(panic_message);
-            if result.is_ok() {
-                let dur = unit_start.elapsed();
-                hists.design.record(dur);
-                if let Some(o) = obs {
-                    let events = plan.trace_of(&designs[i]).len() as u64;
-                    o.counters.add_done(1);
-                    o.counters.add_events(events);
-                    o.unit(
-                        "simulate",
-                        "sim",
-                        w as u64,
-                        dur,
-                        &[("events", FieldValue::U64(events))],
-                    );
-                }
-            }
-            result
-        };
-
-        let (worker_busy, fused_groups, max_bank_width) = match self.engine {
-            Engine::Fused => {
-                let groups = plan.groups(designs);
-                let max_width = groups.iter().map(Vec::len).max().unwrap_or(0);
-                let busy = try_steal_loop(workers, groups.len(), |w, g| {
-                    if out_of_time() {
-                        return;
-                    }
-                    let members = &groups[g];
-                    let fresh = members
-                        .iter()
-                        .filter(|&&i| record_slots[i].get().is_none())
-                        .count();
-                    if fresh == 0 {
-                        return; // whole group resumed from the checkpoint
-                    }
-                    let unit_start = Instant::now();
-                    let scan = catch_unwind(AssertUnwindSafe(|| {
-                        options.fault.maybe_panic_group(g);
-                        let trace = plan
-                            .arena
-                            .get(&plan.keys[g])
-                            .expect("trace phase interned every key");
-                        scanned.fetch_add(trace.len(), Ordering::Relaxed);
-                        replayed.fetch_add(trace.len() * members.len(), Ordering::Relaxed);
-                        let bank: Vec<(CacheDesign, bool)> = members
-                            .iter()
-                            .map(|&i| (designs[i], plan.conflict_free_of(&designs[i])))
-                            .collect();
-                        let records = match obs {
-                            Some(o) => self.evaluator.evaluate_bank_with_trace_ticked(
-                                &bank,
-                                trace,
-                                OBS_TICK_EVENTS,
-                                &|n| o.counters.add_events(n),
-                            ),
-                            None => self.evaluator.evaluate_bank_with_trace(&bank, trace),
-                        };
-                        (records, trace.len())
-                    }));
-                    match scan {
-                        Ok((records, events)) => {
-                            let dur = unit_start.elapsed();
-                            hists.scan.record(dur);
-                            for (&i, record) in members.iter().zip(records) {
-                                complete(i, record);
-                            }
-                            if let Some(o) = obs {
-                                o.counters.add_done(fresh as u64);
-                                o.unit(
-                                    "simulate",
-                                    "scan",
-                                    w as u64,
-                                    dur,
-                                    &[
-                                        ("events", FieldValue::U64(events as u64)),
-                                        ("width", FieldValue::U64(members.len() as u64)),
-                                        ("fresh", FieldValue::U64(fresh as u64)),
-                                    ],
-                                );
-                            }
-                        }
-                        Err(_) => {
-                            // Fallback: re-run each member alone on the
-                            // per-design engine; only a design that also
-                            // panics there is quarantined.
-                            let mut retried_here = 0u64;
-                            for &i in members {
-                                if record_slots[i].get().is_some() {
-                                    continue;
-                                }
-                                retried.fetch_add(1, Ordering::Relaxed);
-                                retried_here += 1;
-                                match simulate_one(w, i) {
-                                    Ok(record) => complete(i, record),
-                                    Err(message) => quarantine(SweepError {
-                                        design_index: i,
-                                        design: designs[i],
-                                        engine: "fallback",
-                                        message,
-                                    }),
-                                }
-                            }
-                            if let Some(o) = obs {
-                                o.point(
-                                    "supervise",
-                                    "retry",
-                                    &[
-                                        ("group", FieldValue::U64(g as u64)),
-                                        ("count", FieldValue::U64(retried_here)),
-                                    ],
-                                );
-                            }
-                        }
-                    }
-                });
-                (busy, groups.len(), max_width)
-            }
-            Engine::PerDesign => {
-                let busy = try_steal_loop(workers, designs.len(), |w, i| {
-                    if out_of_time() || record_slots[i].get().is_some() {
-                        return;
-                    }
-                    match simulate_one(w, i) {
-                        Ok(record) => complete(i, record),
-                        Err(message) => quarantine(SweepError {
-                            design_index: i,
-                            design: designs[i],
-                            engine: "per-design",
-                            message,
-                        }),
-                    }
-                });
-                (busy, 0, 0)
-            }
-        };
-        drop(simulate_span);
-        let worker_busy = worker_busy.map_err(|message| ExploreError::WorkerPanic {
-            phase: "simulate",
-            message,
-        })?;
-        let simulate_time = phase_start.elapsed();
-
-        // Final flush so the sidecar captures the tail of the sweep.
-        let (checkpoints_written, checkpoints_failed) = match options.checkpoint.as_ref() {
-            Some(policy) => {
-                let mut sink = sink.lock().unwrap_or_else(|p| p.into_inner());
-                if sink.since_flush > 0 || sink.flushes == 0 {
-                    flush_with_id(&mut sink, policy);
-                }
-                (sink.written, sink.failed)
-            }
-            None => (0, 0),
-        };
-
-        let phase_start = Instant::now();
-        let select_span = Span::begin(obs, "select");
-        let records: Vec<Option<Record>> =
-            record_slots.into_iter().map(OnceLock::into_inner).collect();
-        let mut errors = errors.into_inner().unwrap_or_else(|p| p.into_inner());
-        errors.sort_by_key(|e| e.design_index);
-        drop(select_span);
-        let select_time = phase_start.elapsed();
-
-        let mut telemetry = SweepTelemetry {
-            designs_evaluated: records.iter().filter(|r| r.is_some()).count(),
-            layouts_computed: plan.pairs.len(),
-            traces_generated: plan.keys.len(),
-            trace_events_generated: plan.arena.events().len() as u64,
-            trace_events_replayed: replayed.into_inner() as u64,
-            trace_events_scanned: scanned.into_inner() as u64,
-            fused_groups,
-            max_bank_width,
-            workers,
-            layout_time: plan.layout_time,
-            trace_time: plan.trace_time,
-            simulate_time,
-            select_time,
-            total_time: sweep_start.elapsed(),
-            worker_busy,
-            designs_quarantined: errors.len(),
-            designs_retried: retried.into_inner(),
-            checkpoints_written,
-            checkpoints_failed,
-            records_resumed,
-            cancelled: cancelled.into_inner(),
-            ..SweepTelemetry::default()
-        };
-        hists.fill(&mut telemetry);
-        debug_assert!(
-            telemetry.worker_utilization() <= 1.05,
-            "worker busy time overcounted: utilization {}",
-            telemetry.worker_utilization()
-        );
-        Ok(SweepOutcome {
-            records,
-            errors,
-            telemetry,
+            let mode = match self.engine {
+                Engine::Fused => UnitMode::Banked {
+                    fallback: "fallback",
+                },
+                Engine::PerDesign => UnitMode::PerDesign,
+            };
+            let runner = KernelRunner {
+                explorer: self,
+                designs,
+                footprint: kernel_footprint_bytes(kernel),
+                plan,
+            };
+            Ok((UnitPlan { units, mode }, runner))
         })
+    }
+}
+
+/// The kernel sweep's unit runner: trace groups (or single designs)
+/// replayed straight from the raw arena of a [`SweepPlan`].
+struct KernelRunner<'a> {
+    explorer: &'a Explorer,
+    designs: &'a [CacheDesign],
+    footprint: u64,
+    plan: SweepPlan,
+}
+
+impl UnitRunner for KernelRunner<'_> {
+    type Error = ExploreError;
+
+    /// Resolves the group in closed form when the analytic fast path
+    /// applies; otherwise streams its slice once through a replay bank.
+    fn run_bank(&self, members: &[usize], _: &Deadline) -> Result<Option<UnitRun>, ExploreError> {
+        let evaluator = &self.explorer.evaluator;
+        let trace = self.plan.trace(members[0]);
+        let events = trace.len() as u64;
+        let bank: Vec<(CacheDesign, bool)> = members
+            .iter()
+            .map(|&i| (self.designs[i], self.plan.conflict_free[i]))
+            .collect();
+        if self.explorer.analytic {
+            if let Some(records) = try_group_records(evaluator, self.footprint, &bank, trace) {
+                return Ok(Some(UnitRun {
+                    records,
+                    events,
+                    kind: UnitKind::Analytic,
+                }));
+            }
+        }
+        let obs = self.explorer.obs.as_deref();
+        let tick = |n| {
+            if let Some(o) = obs {
+                o.counters.add_events(n);
+            }
+        };
+        let records = evaluator.evaluate_bank_with_trace(
+            &bank,
+            trace,
+            obs.map(|_| &tick as &(dyn Fn(u64) + Sync)),
+        );
+        Ok(Some(UnitRun {
+            records,
+            events,
+            kind: UnitKind::Scan,
+        }))
+    }
+
+    fn run_design(&self, i: usize, _: &Deadline) -> Result<Option<UnitRun>, ExploreError> {
+        let trace = self.plan.trace(i);
+        let record = self.explorer.evaluator.evaluate_with_trace(
+            self.designs[i],
+            trace,
+            self.plan.conflict_free[i],
+        );
+        if let Some(o) = self.explorer.obs.as_deref() {
+            o.counters.add_events(trace.len() as u64);
+        }
+        Ok(Some(UnitRun {
+            records: vec![record],
+            events: trace.len() as u64,
+            kind: UnitKind::Design,
+        }))
+    }
+
+    fn fill_telemetry(&self, t: &mut SweepTelemetry) {
+        let plan = &self.plan;
+        t.layouts_computed = plan.layouts_computed;
+        t.traces_generated = plan.traces_generated;
+        t.trace_events_generated = plan.events_generated;
+        t.arena_bytes = plan.events_generated * std::mem::size_of::<TraceEvent>() as u64;
+        t.layout_time = plan.layout_time;
+        t.trace_time = plan.trace_time;
     }
 }

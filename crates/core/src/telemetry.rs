@@ -53,8 +53,8 @@ pub struct SweepTelemetry {
     pub simulated_groups: usize,
     /// Raw bytes of the materialized trace arena.
     pub arena_bytes: u64,
-    /// Resident bytes of the delta-compressed replay form (0 when replay
-    /// streamed from the raw arena).
+    /// Resident bytes of a delta-compressed replay form. Always 0: sweeps
+    /// replay the raw arena. Kept for the JSON schema.
     pub arena_compressed_bytes: u64,
     /// Worker threads used by the sweep.
     pub workers: usize,
@@ -62,10 +62,13 @@ pub struct SweepTelemetry {
     pub layout_time: Duration,
     /// Wall time of the trace-materialization phase.
     pub trace_time: Duration,
-    /// Wall time classifying trace groups for the analytic fast path
-    /// (zero when the fast path is disabled or never gated in).
+    /// Wall time of a separate analytic classification phase. Always 0:
+    /// the fast path runs inside each trace group's unit of work, so its
+    /// time is in [`simulate_time`](Self::simulate_time). Kept for the
+    /// JSON schema.
     pub classify_time: Duration,
-    /// Wall time delta-compressing trace slices for streamed replay.
+    /// Wall time of a trace compression phase. Always 0: sweeps replay
+    /// the raw arena. Kept for the JSON schema.
     pub compress_time: Duration,
     /// Wall time of the work-stealing simulation phase.
     pub simulate_time: Duration,
@@ -345,20 +348,8 @@ impl fmt::Display for SweepTelemetry {
         if self.analytic_groups > 0 {
             writeln!(
                 f,
-                "  analytic : {} trace groups closed-form ({} simulated) in {:.1} ms",
-                self.analytic_groups,
-                self.simulated_groups,
-                self.classify_time.as_secs_f64() * 1e3
-            )?;
-        }
-        if self.arena_compressed_bytes > 0 {
-            writeln!(
-                f,
-                "  arena    : {} B raw -> {} B compressed ({:.1}x) in {:.1} ms",
-                self.arena_bytes,
-                self.arena_compressed_bytes,
-                self.arena_bytes as f64 / self.arena_compressed_bytes.max(1) as f64,
-                self.compress_time.as_secs_f64() * 1e3
+                "  analytic : {} trace groups closed-form ({} simulated)",
+                self.analytic_groups, self.simulated_groups
             )?;
         }
         if self.frontier_size > 0 {

@@ -11,6 +11,11 @@
 //! fixed-capacity chunks through [`memsim::TraceSource`] and feeding them
 //! into incremental [`ReplayBank`] steppers.
 //!
+//! The sweep runs on the same supervised executor as the kernel sweep
+//! (`executor.rs`): its unit plan is the shards below, and its unit
+//! runner streams the trace through one bank per shard, so quarantine,
+//! deadlines and checkpoint/resume behave exactly as for kernels.
+//!
 //! Memory stays `O(chunk_capacity × workers)` regardless of trace length:
 //! each worker owns one chunk buffer and one bank of cache models. The
 //! grid is sharded into banks of [`TRACE_BANK_WIDTH`] designs; each shard
@@ -28,11 +33,10 @@
 //! the grid has no tiling axis ([`TraceWorkload::design_space`] pins
 //! `B = 1`) and layouts are never computed.
 
-use crate::checkpoint::{fnv1a, Checkpoint, CheckpointError};
-use crate::explore::{panic_message, try_steal_loop, SweepHists};
+use crate::checkpoint::{fnv1a, CheckpointError};
+use crate::executor::{execute, Deadline, UnitKind, UnitMode, UnitPlan, UnitRun, UnitRunner};
 use crate::metrics::{CacheDesign, Evaluator, Record};
-use crate::obs::{FieldValue, Span};
-use crate::supervisor::{SweepError, SweepOptions, SweepOutcome};
+use crate::supervisor::{SweepOptions, SweepOutcome};
 use crate::telemetry::SweepTelemetry;
 use crate::{DesignSpace, Explorer};
 use memsim::{
@@ -41,11 +45,9 @@ use memsim::{
 };
 use std::fmt;
 use std::io::{self, BufReader};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Designs stepped in lockstep per shard of a streamed sweep. Each shard
 /// re-streams the trace once, so this bounds both the number of passes
@@ -284,26 +286,20 @@ impl Explorer {
         workload: &TraceWorkload,
         designs: &[CacheDesign],
     ) -> Result<(Vec<Record>, SweepTelemetry), TraceError> {
-        let outcome = self.explore_trace_supervised(workload, designs, &SweepOptions::default())?;
-        if let Some(e) = outcome.errors.into_iter().next() {
-            return Err(TraceError::WorkerPanic { message: e.message });
-        }
-        let records = outcome
-            .records
-            .into_iter()
-            .map(|r| r.expect("no errors and no deadline leaves every slot filled"))
-            .collect();
-        Ok((records, outcome.telemetry))
+        self.explore_trace_supervised(workload, designs, &SweepOptions::default())?
+            .into_complete()
+            .map_err(|e| TraceError::WorkerPanic { message: e.message })
     }
 
     /// Sweeps `designs` over a streamed external trace under the
-    /// fault-isolation supervisor: panicking shards are retried one
-    /// design at a time (each retry re-streams the trace alone), designs
-    /// that still panic are quarantined into [`SweepError`]s, a
-    /// cooperative deadline (checked between chunks) yields a well-formed
-    /// partial [`SweepOutcome`], and a [`CheckpointPolicy`]
-    /// (crate::CheckpointPolicy) persists/resumes completed records under
-    /// a [`trace_sweep_id`] header.
+    /// fault-isolation supervisor, on the same executor as the kernel
+    /// sweep: panicking shards are retried one design at a time (each
+    /// retry re-streams the trace alone), designs that still panic are
+    /// quarantined into [`SweepError`](crate::SweepError)s, a cooperative
+    /// deadline (checked between chunks) yields a well-formed partial
+    /// [`SweepOutcome`], and a [`CheckpointPolicy`](crate::CheckpointPolicy)
+    /// persists/resumes completed records under a [`trace_sweep_id`]
+    /// header.
     ///
     /// A [`TraceSourceError`] is *not* quarantined — the workload itself
     /// is broken, so the sweep stops and reports it.
@@ -319,7 +315,6 @@ impl Explorer {
         designs: &[CacheDesign],
         options: &SweepOptions,
     ) -> Result<SweepOutcome, TraceError> {
-        let sweep_start = Instant::now();
         let shards: Vec<Vec<usize>> = (0..designs.len())
             .collect::<Vec<_>>()
             .chunks(TRACE_BANK_WIDTH)
@@ -327,412 +322,103 @@ impl Explorer {
             .collect();
         let workers = self.worker_count(shards.len());
         let id = trace_sweep_id(workload, designs, &self.evaluator);
-        let obs = self.obs.as_deref();
-        if let Some(o) = obs {
-            o.counters
-                .total
-                .fetch_add(designs.len() as u64, Ordering::Relaxed);
-        }
-
-        // Resume: pre-fill output slots from the sidecar file (same
-        // protocol as the kernel supervisor, different sweep id).
-        let record_slots: Vec<OnceLock<Record>> = designs.iter().map(|_| OnceLock::new()).collect();
-        let mut resumed_entries: Vec<(usize, Record)> = Vec::new();
-        if let Some(policy) = options.checkpoint.as_ref().filter(|p| p.resume) {
-            match Checkpoint::read(&policy.path) {
-                Ok(ck) => {
-                    if ck.sweep_id != id {
-                        return Err(CheckpointError::SweepMismatch {
-                            expected: id,
-                            found: ck.sweep_id,
-                        }
-                        .into());
-                    }
-                    for (idx, mut record) in ck.entries {
-                        if idx >= designs.len() {
-                            return Err(CheckpointError::BadEntry {
-                                index: idx as u64,
-                                designs: designs.len(),
-                            }
-                            .into());
-                        }
-                        record.design = designs[idx];
-                        let _ = record_slots[idx].set(record.clone());
-                        resumed_entries.push((idx, record));
-                    }
-                }
-                Err(CheckpointError::Io { ref source, .. })
-                    if source.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e.into()),
-            }
-        }
-        let records_resumed = resumed_entries.len();
-        if let Some(o) = obs {
-            if records_resumed > 0 {
-                o.counters.add_done(records_resumed as u64);
-                o.point(
-                    "supervise",
-                    "resume",
-                    &[("records", FieldValue::U64(records_resumed as u64))],
-                );
-            }
-        }
-
-        let hists = SweepHists::default();
-        let phase_start = Instant::now();
-        let simulate_span = Span::begin(obs, "simulate");
-        let replayed = AtomicU64::new(0);
-        let scanned = AtomicU64::new(0);
-        let peak_chunk_bytes = AtomicU64::new(0);
-        let retried = AtomicUsize::new(0);
-        let cancelled = AtomicBool::new(false);
-        let stop = AtomicBool::new(false);
-        let deadline = options.deadline.map(|d| sweep_start + d);
-        let errors: Mutex<Vec<SweepError>> = Mutex::new(Vec::new());
-        let source_error: Mutex<Option<TraceSourceError>> = Mutex::new(None);
-        let sink = Mutex::new(CheckpointSink {
-            entries: resumed_entries,
-            since_flush: 0,
-            flushes: 0,
-            written: 0,
-            failed: 0,
-        });
-
-        let fail_source = |e: TraceSourceError| {
-            stop.store(true, Ordering::Relaxed);
-            let mut slot = source_error.lock().unwrap_or_else(|p| p.into_inner());
-            if slot.is_none() {
-                *slot = Some(e);
-            }
+        let runner = DinRunner {
+            explorer: self,
+            workload,
+            designs,
+            peak_chunk_bytes: AtomicU64::new(0),
         };
-        let quarantine = |e: SweepError| {
-            if let Some(o) = obs {
-                o.counters.quarantined.fetch_add(1, Ordering::Relaxed);
-                o.point(
-                    "supervise",
-                    "quarantine",
-                    &[
-                        ("design", FieldValue::U64(e.design_index as u64)),
-                        ("engine", FieldValue::Str(e.engine.to_string())),
-                        ("message", FieldValue::Str(e.message.clone())),
-                    ],
-                );
-            }
-            errors.lock().unwrap_or_else(|p| p.into_inner()).push(e);
+        let plan = UnitPlan {
+            units: shards,
+            mode: UnitMode::Banked {
+                fallback: "stream-fallback",
+            },
         };
-        let flush_with_id = |sink: &mut CheckpointSink, policy: &crate::CheckpointPolicy| {
-            let nth = sink.flushes;
-            sink.flushes += 1;
-            sink.since_flush = 0;
-            let flush_start = Instant::now();
-            let ok = if options.fault.should_fail_checkpoint(nth) {
-                sink.failed += 1;
-                false
-            } else {
-                let ck = Checkpoint {
-                    sweep_id: id,
-                    entries: sink.entries.clone(),
-                };
-                match ck.write_atomic(&policy.path) {
-                    Ok(()) => {
-                        sink.written += 1;
-                        true
-                    }
-                    Err(_) => {
-                        sink.failed += 1;
-                        false
-                    }
-                }
-            };
-            let dur = flush_start.elapsed();
-            hists.flush.record(dur);
-            if let Some(o) = obs {
-                o.point(
-                    "checkpoint",
-                    "flush",
-                    &[
-                        (
-                            "dur_us",
-                            FieldValue::U64(u64::try_from(dur.as_micros()).unwrap_or(u64::MAX)),
-                        ),
-                        ("ok", FieldValue::U64(u64::from(ok))),
-                        ("records", FieldValue::U64(sink.entries.len() as u64)),
-                    ],
-                );
-            }
-        };
-        let complete = |idx: usize, record: Record| {
-            if record_slots[idx].set(record.clone()).is_ok() {
-                if let Some(policy) = options.checkpoint.as_ref() {
-                    let mut sink = sink.lock().unwrap_or_else(|p| p.into_inner());
-                    sink.entries.push((idx, record));
-                    sink.since_flush += 1;
-                    if sink.since_flush >= policy.every.max(1) {
-                        flush_with_id(&mut sink, policy);
-                    }
-                }
-            }
-        };
-        let out_of_time = || {
-            if cancelled.load(Ordering::Relaxed) {
-                return true;
-            }
-            if deadline.is_some_and(|d| Instant::now() >= d) {
-                if !cancelled.swap(true, Ordering::Relaxed) {
-                    if let Some(o) = obs {
-                        o.point("supervise", "deadline_cancel", &[]);
-                    }
-                }
-                return true;
-            }
-            false
-        };
-        // One full streaming pass over the workload, feeding `bank`.
-        // Returns the events fed, or `None` when the deadline fired
-        // mid-stream (the bank is then abandoned: a partial replay must
-        // never produce a record).
-        let stream_into = |bank: &mut ReplayBank| -> Result<Option<u64>, TraceSourceError> {
-            let mut src = workload.open()?;
-            let mut buf: Vec<TraceEvent> = Vec::with_capacity(workload.chunk_capacity());
-            let mut events = 0u64;
-            loop {
-                let n = src.fill(&mut buf, workload.chunk_capacity())?;
-                if n == 0 {
-                    return Ok(Some(events));
-                }
-                events += n as u64;
-                let bytes = (buf.len() * std::mem::size_of::<TraceEvent>()) as u64;
-                peak_chunk_bytes.fetch_max(bytes, Ordering::Relaxed);
-                bank.feed(&buf);
-                if let Some(o) = obs {
-                    o.counters.add_events(n as u64);
-                }
-                if out_of_time() {
-                    return Ok(None);
-                }
-            }
-        };
-        // Per-design retry, shared by the quarantine fallback: re-streams
-        // the whole trace through a bank of one.
-        let simulate_one =
-            |w: usize, i: usize| -> Result<Result<Option<Record>, TraceSourceError>, String> {
-                let unit_start = Instant::now();
-                let result = catch_unwind(AssertUnwindSafe(|| {
-                    options.fault.maybe_panic_design(i);
-                    let d = designs[i];
-                    let config = d
-                        .cache_config()
-                        .unwrap_or_else(|e| panic!("invalid design {d}: {e}"));
-                    let mut bank =
-                        ReplayBank::with_options(&[config], self.evaluator.bus_encoding, false);
-                    let events = match stream_into(&mut bank)? {
-                        Some(events) => events,
-                        None => return Ok(None),
-                    };
-                    scanned.fetch_add(events, Ordering::Relaxed);
-                    replayed.fetch_add(events, Ordering::Relaxed);
-                    let record = self
-                        .evaluator
-                        .evaluate_bank_reports(&[(d, false)], &bank.finish())
-                        .pop()
-                        .expect("bank of one yields one record");
-                    Ok(Some((record, events)))
-                }))
-                .map_err(panic_message);
-                match result {
-                    Ok(Ok(Some((record, events)))) => {
-                        let dur = unit_start.elapsed();
-                        hists.design.record(dur);
-                        if let Some(o) = obs {
-                            o.counters.add_done(1);
-                            o.unit(
-                                "simulate",
-                                "sim",
-                                w as u64,
-                                dur,
-                                &[("events", FieldValue::U64(events))],
-                            );
-                        }
-                        Ok(Ok(Some(record)))
-                    }
-                    Ok(Ok(None)) => Ok(Ok(None)),
-                    Ok(Err(e)) => Ok(Err(e)),
-                    Err(message) => Err(message),
-                }
-            };
-
-        let worker_busy = try_steal_loop(workers, shards.len(), |w, s| {
-            if out_of_time() || stop.load(Ordering::Relaxed) {
-                return;
-            }
-            let members = &shards[s];
-            let fresh = members
-                .iter()
-                .filter(|&&i| record_slots[i].get().is_none())
-                .count();
-            if fresh == 0 {
-                return; // whole shard resumed from the checkpoint
-            }
-            let unit_start = Instant::now();
-            let scan = catch_unwind(AssertUnwindSafe(
-                || -> Result<Option<(Vec<Record>, u64)>, TraceSourceError> {
-                    options.fault.maybe_panic_group(s);
-                    let bank_designs: Vec<(CacheDesign, bool)> =
-                        members.iter().map(|&i| (designs[i], false)).collect();
-                    let configs: Vec<memsim::CacheConfig> = bank_designs
-                        .iter()
-                        .map(|(d, _)| {
-                            d.cache_config()
-                                .unwrap_or_else(|e| panic!("invalid design {d}: {e}"))
-                        })
-                        .collect();
-                    let mut bank =
-                        ReplayBank::with_options(&configs, self.evaluator.bus_encoding, false);
-                    let events = match stream_into(&mut bank)? {
-                        Some(events) => events,
-                        None => return Ok(None),
-                    };
-                    scanned.fetch_add(events, Ordering::Relaxed);
-                    replayed.fetch_add(events * members.len() as u64, Ordering::Relaxed);
-                    let records = self
-                        .evaluator
-                        .evaluate_bank_reports(&bank_designs, &bank.finish());
-                    Ok(Some((records, events)))
-                },
-            ));
-            match scan {
-                Ok(Ok(Some((records, events)))) => {
-                    let dur = unit_start.elapsed();
-                    hists.scan.record(dur);
-                    for (&i, record) in members.iter().zip(records) {
-                        complete(i, record);
-                    }
-                    if let Some(o) = obs {
-                        o.counters.add_done(fresh as u64);
-                        o.unit(
-                            "simulate",
-                            "scan",
-                            w as u64,
-                            dur,
-                            &[
-                                ("events", FieldValue::U64(events)),
-                                ("width", FieldValue::U64(members.len() as u64)),
-                                ("fresh", FieldValue::U64(fresh as u64)),
-                            ],
-                        );
-                    }
-                }
-                Ok(Ok(None)) => {} // deadline fired mid-stream: partial result
-                Ok(Err(e)) => fail_source(e),
-                Err(payload) => {
-                    // Fallback: re-stream each member alone; only a design
-                    // that also fails there is quarantined.
-                    let _ = panic_message(payload);
-                    let mut retried_here = 0u64;
-                    for &i in members {
-                        if record_slots[i].get().is_some()
-                            || out_of_time()
-                            || stop.load(Ordering::Relaxed)
-                        {
-                            continue;
-                        }
-                        retried.fetch_add(1, Ordering::Relaxed);
-                        retried_here += 1;
-                        match simulate_one(w, i) {
-                            Ok(Ok(Some(record))) => complete(i, record),
-                            Ok(Ok(None)) => {} // deadline
-                            Ok(Err(e)) => fail_source(e),
-                            Err(message) => quarantine(SweepError {
-                                design_index: i,
-                                design: designs[i],
-                                engine: "stream-fallback",
-                                message,
-                            }),
-                        }
-                    }
-                    if let Some(o) = obs {
-                        o.point(
-                            "supervise",
-                            "retry",
-                            &[
-                                ("group", FieldValue::U64(s as u64)),
-                                ("count", FieldValue::U64(retried_here)),
-                            ],
-                        );
-                    }
-                }
-            }
-        });
-        drop(simulate_span);
-        let worker_busy = worker_busy.map_err(|message| TraceError::WorkerPanic { message })?;
-        if let Some(e) = source_error.into_inner().unwrap_or_else(|p| p.into_inner()) {
-            return Err(TraceError::Source(e));
-        }
-        let simulate_time = phase_start.elapsed();
-
-        // Final flush so the sidecar captures the tail of the sweep.
-        let (checkpoints_written, checkpoints_failed) = match options.checkpoint.as_ref() {
-            Some(policy) => {
-                let mut sink = sink.lock().unwrap_or_else(|p| p.into_inner());
-                if sink.since_flush > 0 || sink.flushes == 0 {
-                    flush_with_id(&mut sink, policy);
-                }
-                (sink.written, sink.failed)
-            }
-            None => (0, 0),
-        };
-
-        let phase_start = Instant::now();
-        let select_span = Span::begin(obs, "select");
-        let records: Vec<Option<Record>> =
-            record_slots.into_iter().map(OnceLock::into_inner).collect();
-        let mut errors = errors.into_inner().unwrap_or_else(|p| p.into_inner());
-        errors.sort_by_key(|e| e.design_index);
-        drop(select_span);
-        let select_time = phase_start.elapsed();
-
-        let max_bank_width = shards.iter().map(Vec::len).max().unwrap_or(0);
-        let mut telemetry = SweepTelemetry {
-            designs_evaluated: records.iter().filter(|r| r.is_some()).count(),
-            layouts_computed: 0,
-            traces_generated: 1,
-            trace_events_generated: workload.events(),
-            trace_events_replayed: replayed.into_inner(),
-            trace_events_scanned: scanned.into_inner(),
-            fused_groups: shards.len(),
-            max_bank_width,
-            workers,
-            simulate_time,
-            select_time,
-            total_time: sweep_start.elapsed(),
-            worker_busy,
-            designs_quarantined: errors.len(),
-            designs_retried: retried.into_inner(),
-            checkpoints_written,
-            checkpoints_failed,
-            records_resumed,
-            cancelled: cancelled.into_inner(),
-            peak_chunk_bytes: peak_chunk_bytes.into_inner(),
-            ..SweepTelemetry::default()
-        };
-        hists.fill(&mut telemetry);
-        Ok(SweepOutcome {
-            records,
-            errors,
-            telemetry,
+        execute(self, designs, options, id, workers, |_, _| {
+            Ok((plan, runner))
         })
     }
 }
 
-/// Mutable checkpoint state shared by workers (see
-/// `supervisor::Sink` — duplicated here because both are private
-/// implementation details of their engines).
-struct CheckpointSink {
-    entries: Vec<(usize, Record)>,
-    since_flush: usize,
-    flushes: usize,
-    written: usize,
-    failed: usize,
+/// The streamed sweep's unit runner: every unit re-streams the whole
+/// trace through one bank, chunk by chunk.
+struct DinRunner<'a> {
+    explorer: &'a Explorer,
+    workload: &'a TraceWorkload,
+    designs: &'a [CacheDesign],
+    peak_chunk_bytes: AtomicU64,
+}
+
+impl DinRunner<'_> {
+    /// One full streaming pass over the workload through a bank of
+    /// `members`. `Ok(None)` when the deadline fired mid-stream: the bank
+    /// is then abandoned, because a partial replay must never produce a
+    /// record.
+    fn stream(
+        &self,
+        members: &[usize],
+        kind: UnitKind,
+        deadline: &Deadline,
+    ) -> Result<Option<UnitRun>, TraceError> {
+        let evaluator = &self.explorer.evaluator;
+        let bank_designs: Vec<(CacheDesign, bool)> =
+            members.iter().map(|&i| (self.designs[i], false)).collect();
+        let configs: Vec<memsim::CacheConfig> = bank_designs
+            .iter()
+            .map(|(d, _)| {
+                d.cache_config()
+                    .unwrap_or_else(|e| panic!("invalid design {d}: {e}"))
+            })
+            .collect();
+        let mut bank = ReplayBank::with_options(&configs, evaluator.bus_encoding, false);
+        let capacity = self.workload.chunk_capacity();
+        let mut src = self.workload.open()?;
+        let mut buf: Vec<TraceEvent> = Vec::with_capacity(capacity);
+        let mut events = 0u64;
+        loop {
+            let n = src.fill(&mut buf, capacity)?;
+            if n == 0 {
+                break;
+            }
+            events += n as u64;
+            let bytes = (buf.len() * std::mem::size_of::<TraceEvent>()) as u64;
+            self.peak_chunk_bytes.fetch_max(bytes, Ordering::Relaxed);
+            bank.feed(&buf);
+            if let Some(o) = self.explorer.obs.as_deref() {
+                o.counters.add_events(n as u64);
+            }
+            if deadline.expired() {
+                return Ok(None);
+            }
+        }
+        Ok(Some(UnitRun {
+            records: evaluator.evaluate_bank_reports(&bank_designs, &bank.finish()),
+            events,
+            kind,
+        }))
+    }
+}
+
+impl UnitRunner for DinRunner<'_> {
+    type Error = TraceError;
+
+    fn run_bank(
+        &self,
+        members: &[usize],
+        deadline: &Deadline,
+    ) -> Result<Option<UnitRun>, TraceError> {
+        self.stream(members, UnitKind::Scan, deadline)
+    }
+
+    fn run_design(&self, i: usize, deadline: &Deadline) -> Result<Option<UnitRun>, TraceError> {
+        self.stream(&[i], UnitKind::Design, deadline)
+    }
+
+    fn fill_telemetry(&self, t: &mut SweepTelemetry) {
+        t.traces_generated = 1;
+        t.trace_events_generated = self.workload.events();
+        t.peak_chunk_bytes = self.peak_chunk_bytes.load(Ordering::Relaxed);
+    }
 }
 
 #[cfg(test)]
@@ -787,7 +473,9 @@ mod tests {
             .map(|r| memsim::source::din_event(r.label, r.addr))
             .collect();
         let bank: Vec<(CacheDesign, bool)> = designs.iter().map(|&d| (d, false)).collect();
-        let reference = explorer.evaluator.evaluate_bank_with_trace(&bank, &events);
+        let reference = explorer
+            .evaluator
+            .evaluate_bank_with_trace(&bank, &events, None);
         assert_eq!(streamed, reference);
         assert_eq!(telemetry.trace_events_generated, 3000);
         assert_eq!(telemetry.designs_evaluated, designs.len());

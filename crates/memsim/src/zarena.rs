@@ -25,6 +25,10 @@
 //! `feed` calls, so block-by-block replay is bit-identical to scanning
 //! the raw slice (see the bank's chunk-invariance contract).
 //!
+//! No sweep uses this module: an exhaustive sweep scans each trace once,
+//! so it replays the raw arena. The module stays for perfbench's traced
+//! recomposition, which measures its encode and decode layers.
+//!
 //! # Example
 //!
 //! ```

@@ -130,47 +130,28 @@ pub fn run(cmd: Command) -> Result<Output, RunError> {
             obs,
         } => {
             let evaluator = make_evaluator(&part, em_nj, natural);
-            if is_din_path(&file) {
-                if analytical {
-                    return Err(RunError::Other(
-                        "`--analytical` needs a kernel: the closed-form miss-rate model \
-                         has no meaning for a recorded `.din` trace"
-                            .into(),
-                    ));
-                }
-                let workload = load_trace(&file)?;
-                explore_trace(
-                    &workload,
-                    evaluator,
-                    bound_cycles,
-                    bound_energy,
-                    pareto,
-                    telemetry,
-                    &engine,
-                    !no_analytic,
-                    &supervise,
-                    &obs,
-                    None,
-                )
-                .map(|(out, _)| out)
-            } else {
-                let kernel = load(&file)?;
-                explore(
-                    &kernel,
-                    evaluator,
-                    analytical,
-                    bound_cycles,
-                    bound_energy,
-                    pareto,
-                    telemetry,
-                    engine_kind(&engine),
-                    !no_analytic,
-                    &supervise,
-                    &obs,
-                    None,
-                )
-                .map(|(out, _)| out)
+            if analytical && is_din_path(&file) {
+                return Err(RunError::Other(
+                    "`--analytical` needs a kernel: the closed-form miss-rate model \
+                     has no meaning for a recorded `.din` trace"
+                        .into(),
+                ));
             }
+            explore(
+                &Workload::load(&file)?,
+                evaluator,
+                analytical,
+                bound_cycles,
+                bound_energy,
+                pareto,
+                telemetry,
+                &engine,
+                !no_analytic,
+                &supervise,
+                &obs,
+                None,
+            )
+            .map(|(out, _)| out)
         }
         Command::Pareto {
             file,
@@ -186,36 +167,19 @@ pub fn run(cmd: Command) -> Result<Output, RunError> {
             obs,
         } => {
             let evaluator = make_evaluator(&part, em_nj, natural);
-            if is_din_path(&file) {
-                let workload = load_trace(&file)?;
-                pareto_trace(
-                    &workload,
-                    evaluator,
-                    &format,
-                    telemetry,
-                    &engine,
-                    !no_analytic,
-                    &supervise,
-                    &obs,
-                    None,
-                )
-                .map(|(out, _)| out)
-            } else {
-                let kernel = load(&file)?;
-                pareto_frontier(
-                    &kernel,
-                    evaluator,
-                    &format,
-                    exhaustive,
-                    telemetry,
-                    engine_kind(&engine),
-                    !no_analytic,
-                    &supervise,
-                    &obs,
-                    None,
-                )
-                .map(|(out, _)| out)
-            }
+            pareto(
+                &Workload::load(&file)?,
+                evaluator,
+                &format,
+                exhaustive,
+                telemetry,
+                &engine,
+                !no_analytic,
+                &supervise,
+                &obs,
+                None,
+            )
+            .map(|(out, _)| out)
         }
         Command::Search {
             file,
@@ -241,9 +205,8 @@ pub fn run(cmd: Command) -> Result<Output, RunError> {
                             .into(),
                     ));
                 }
-                let workload = load_trace(&file)?;
                 search_trace(
-                    &workload,
+                    &Workload::load(&file)?,
                     evaluator,
                     objective,
                     beam,
@@ -500,6 +463,28 @@ pub(crate) fn build_obs(flags: &ObsFlags) -> Result<Option<Arc<Obs>>, RunError> 
     })
 }
 
+/// The explorer a sweep command runs on, wired to the observability hub
+/// its flags ask for (the caller finishes the hub after the sweep).
+fn sweep_explorer(
+    evaluator: Evaluator,
+    engine: Engine,
+    analytic: bool,
+    workers: Option<usize>,
+    obs_flags: &ObsFlags,
+) -> Result<(Explorer, Option<Arc<Obs>>), RunError> {
+    let obs = build_obs(obs_flags)?;
+    let mut explorer = Explorer::new(evaluator)
+        .with_engine(engine)
+        .with_analytic(analytic);
+    if let Some(w) = workers {
+        explorer = explorer.with_workers(w);
+    }
+    if let Some(o) = &obs {
+        explorer = explorer.with_obs(Arc::clone(o));
+    }
+    Ok((explorer, obs))
+}
+
 /// Maps a streaming-source failure onto the exit-code contract: both an
 /// unreadable file and a malformed record make the workload unusable, so
 /// both are input failures (exit 2, like an unreadable kernel file).
@@ -531,10 +516,126 @@ pub(crate) fn is_din_path(path: &str) -> bool {
         .is_some_and(|e| e.eq_ignore_ascii_case("din"))
 }
 
-/// Prepares a `.din` workload: one streaming pass fingerprints the trace
-/// (bounded memory however large the file is).
-pub(crate) fn load_trace(path: &str) -> Result<TraceWorkload, RunError> {
-    TraceWorkload::from_path(path).map_err(trace_error)
+/// What a sweep command sweeps: a parsed kernel, or a recorded `.din`
+/// trace that is streamed rather than materialized.
+#[derive(Clone, Debug)]
+pub enum Workload {
+    /// A loop-nest kernel, swept over the paper grid.
+    Kernel(Kernel),
+    /// A prepared `.din` trace, swept by streaming over the trace grid
+    /// (tiling pinned at 1).
+    Trace(TraceWorkload),
+}
+
+impl Workload {
+    /// Loads `path`: a `.din` trace is prepared by one streaming pass that
+    /// fingerprints it (bounded memory however large the file is); any
+    /// other file is parsed as a kernel.
+    pub(crate) fn load(path: &str) -> Result<Self, RunError> {
+        if is_din_path(path) {
+            TraceWorkload::from_path(path)
+                .map(Workload::Trace)
+                .map_err(trace_error)
+        } else {
+            load(path).map(Workload::Kernel)
+        }
+    }
+
+    /// The full design grid the workload sweeps.
+    pub(crate) fn designs(&self) -> Vec<CacheDesign> {
+        match self {
+            Workload::Kernel(_) => DesignSpace::paper().designs(),
+            Workload::Trace(_) => TraceWorkload::design_space().designs(),
+        }
+    }
+
+    /// [`designs`](Self::designs) after the checks a sweep makes first:
+    /// kernel input validation, or the note that a streamed sweep has one
+    /// engine, so a non-default `--engine` is ignored.
+    pub(crate) fn checked_designs(
+        &self,
+        engine: &str,
+        stderr: &mut String,
+    ) -> Result<Vec<CacheDesign>, RunError> {
+        let designs = self.designs();
+        match self {
+            Workload::Kernel(kernel) => check_sweep_inputs(kernel, &designs, stderr)?,
+            Workload::Trace(_) if engine != "fused" => {
+                let _ = writeln!(
+                    stderr,
+                    "warning: --engine {engine} is ignored for `.din` traces \
+                     (streamed sweeps are always banked)"
+                );
+            }
+            Workload::Trace(_) => {}
+        }
+        Ok(designs)
+    }
+
+    /// `"kernel"` or `"trace"`, the subject of report lines.
+    pub(crate) fn subject(&self) -> &'static str {
+        match self {
+            Workload::Kernel(_) => "kernel",
+            Workload::Trace(_) => "trace",
+        }
+    }
+
+    /// The kernel name or the trace's path (or inline label).
+    pub(crate) fn name(&self) -> &str {
+        match self {
+            Workload::Kernel(kernel) => &kernel.name,
+            Workload::Trace(trace) => trace.name(),
+        }
+    }
+
+    /// The first stdout line of `memx explore` over `n` records.
+    pub(crate) fn explored_line(&self, n: usize, analytical: bool) -> String {
+        match self {
+            Workload::Kernel(kernel) => format!(
+                "explored {n} configurations of kernel {} ({})",
+                kernel.name,
+                if analytical {
+                    "analytical model"
+                } else {
+                    "trace-driven simulation"
+                }
+            ),
+            Workload::Trace(trace) => format!(
+                "explored {n} configurations of trace {} ({} events, streamed)",
+                trace.name(),
+                trace.events()
+            ),
+        }
+    }
+
+    /// Runs the supervised sweep behind `--checkpoint/--resume/--deadline`,
+    /// translating CLI flags into [`SweepOptions`] and supervisor events
+    /// into stderr notes (stdout stays byte-identical to an unsupervised
+    /// run).
+    fn run_supervised(
+        &self,
+        explorer: &Explorer,
+        designs: &[CacheDesign],
+        supervise: &Supervise,
+        stderr: &mut String,
+    ) -> Result<SweepOutcome, RunError> {
+        let options = sweep_options(supervise, stderr)?;
+        let outcome = match self {
+            Workload::Kernel(kernel) => explorer
+                .explore_supervised(kernel, designs, &options)
+                .map_err(|e| match e {
+                    // A rejected checkpoint (unreadable, corrupt, truncated,
+                    // or from a different sweep) follows the I/O contract.
+                    ExploreError::Checkpoint(c) => RunError::Io(c.to_string()),
+                    other => RunError::Other(other.to_string().into()),
+                })?,
+            Workload::Trace(trace) => explorer
+                .explore_trace_supervised(trace, designs, &options)
+                .map_err(trace_error)?,
+        };
+        note_supervised(&outcome, designs.len(), stderr);
+        Ok(outcome)
+    }
 }
 
 /// Validates cache geometry at the CLI/parse boundary. Everything
@@ -936,139 +1037,71 @@ fn note_supervised(outcome: &SweepOutcome, total: usize, stderr: &mut String) {
     }
 }
 
-/// Runs the supervised sweep behind `--checkpoint/--resume/--deadline`,
-/// translating CLI flags into [`SweepOptions`] and supervisor events into
-/// stderr notes (stdout stays byte-identical to an unsupervised run).
-fn run_supervised(
-    explorer: &Explorer,
-    kernel: &Kernel,
-    designs: &[CacheDesign],
-    supervise: &Supervise,
-    stderr: &mut String,
-) -> Result<SweepOutcome, RunError> {
-    let options = sweep_options(supervise, stderr)?;
-    let outcome = explorer
-        .explore_supervised(kernel, designs, &options)
-        .map_err(|e| match e {
-            // A rejected checkpoint (unreadable, corrupt, truncated,
-            // or from a different sweep) follows the I/O contract.
-            ExploreError::Checkpoint(c) => RunError::Io(c.to_string()),
-            other => RunError::Other(other.to_string().into()),
-        })?;
-    note_supervised(&outcome, designs.len(), stderr);
-    Ok(outcome)
+/// True when a supervised sweep left designs without a record: the
+/// deadline cancelled it or a design was quarantined. Such a result is
+/// still printed, but the serve daemon must never cache it.
+pub(crate) fn is_partial(outcome: &SweepOutcome) -> bool {
+    outcome.telemetry.cancelled || !outcome.errors.is_empty()
 }
 
-/// [`run_supervised`] for streamed `.din` workloads: same checkpoint /
-/// resume / deadline translation, driving the chunked trace sweep instead
-/// of the arena-based kernel sweep.
-fn run_trace_supervised(
-    explorer: &Explorer,
-    workload: &TraceWorkload,
-    designs: &[CacheDesign],
-    supervise: &Supervise,
-    stderr: &mut String,
-) -> Result<SweepOutcome, RunError> {
-    let options = sweep_options(supervise, stderr)?;
-    let outcome = explorer
-        .explore_trace_supervised(workload, designs, &options)
-        .map_err(trace_error)?;
-    note_supervised(&outcome, designs.len(), stderr);
-    Ok(outcome)
-}
-
-/// The streamed sweep has one engine (banked shards over the stream), so
-/// a non-default `--engine` on a `.din` workload is noted and ignored.
-fn warn_trace_engine(engine: &str, stderr: &mut String) {
-    if engine != "fused" {
-        let _ = writeln!(
-            stderr,
-            "warning: --engine {engine} is ignored for `.din` traces \
-             (streamed sweeps are always banked)"
-        );
-    }
-}
-
-/// Runs the exhaustive sweep (`memx explore`). The bool in the result is
-/// the cancellation flag (deadline reached → partial output) — the serve
-/// layer uses it to keep partial results out of the cache.
+/// Runs the exhaustive sweep (`memx explore`) over a kernel or a streamed
+/// `.din` trace. The bool in the result is the [`is_partial`] flag — the
+/// serve layer uses it to keep partial results out of the cache.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn explore(
-    kernel: &Kernel,
+    workload: &Workload,
     evaluator: Evaluator,
     analytical: bool,
     bound_cycles: Option<f64>,
     bound_energy: Option<f64>,
     pareto: bool,
     telemetry: bool,
-    engine: Engine,
+    engine: &str,
     analytic: bool,
     supervise: &Supervise,
     obs_flags: &ObsFlags,
     workers: Option<usize>,
 ) -> Result<(Output, bool), RunError> {
     let mut stderr = String::new();
-    let space = DesignSpace::paper();
-    let designs = space.designs();
-    check_sweep_inputs(kernel, &designs, &mut stderr)?;
-    let (records, sweep_telemetry) = if analytical {
-        if supervise.is_active() {
-            let _ = writeln!(
-                stderr,
-                "warning: --checkpoint/--deadline are ignored with --analytical (no sweep runs)"
-            );
+    let designs = workload.checked_designs(engine, &mut stderr)?;
+    let mut partial = false;
+    let (records, sweep_telemetry) = match workload {
+        Workload::Kernel(kernel) if analytical => {
+            if supervise.is_active() {
+                let _ = writeln!(
+                    stderr,
+                    "warning: --checkpoint/--deadline are ignored with --analytical (no sweep runs)"
+                );
+            }
+            if obs_flags.is_active() {
+                let _ = writeln!(
+                    stderr,
+                    "warning: --log-json/--progress are ignored with --analytical (no sweep runs)"
+                );
+            }
+            let records = designs
+                .iter()
+                .map(|&d| evaluator.evaluate_analytical(kernel, d))
+                .collect();
+            (records, None)
         }
-        if obs_flags.is_active() {
-            let _ = writeln!(
-                stderr,
-                "warning: --log-json/--progress are ignored with --analytical (no sweep runs)"
-            );
-        }
-        let records = designs
-            .iter()
-            .map(|&d| evaluator.evaluate_analytical(kernel, d))
-            .collect();
-        (records, None)
-    } else {
-        let obs = build_obs(obs_flags)?;
-        let mut explorer = Explorer::new(evaluator)
-            .with_engine(engine)
-            .with_analytic(analytic);
-        if let Some(w) = workers {
-            explorer = explorer.with_workers(w);
-        }
-        if let Some(o) = &obs {
-            explorer = explorer.with_obs(Arc::clone(o));
-        }
-        let result = if supervise.is_active() {
-            let outcome = run_supervised(&explorer, kernel, &designs, supervise, &mut stderr)?;
+        _ => {
+            let (explorer, obs) =
+                sweep_explorer(evaluator, engine_kind(engine), analytic, workers, obs_flags)?;
+            let outcome = workload.run_supervised(&explorer, &designs, supervise, &mut stderr)?;
+            if let Some(o) = &obs {
+                o.finish();
+            }
+            partial = is_partial(&outcome);
             (outcome.completed_records(), Some(outcome.telemetry))
-        } else {
-            let (records, t) = explorer.explore_with_telemetry(kernel, &space);
-            (records, Some(t))
-        };
-        if let Some(o) = &obs {
-            o.finish();
         }
-        result
     };
 
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "explored {} configurations of kernel {} ({})",
-        records.len(),
-        kernel.name,
-        if analytical {
-            "analytical model"
-        } else {
-            "trace-driven simulation"
-        }
-    );
+    let mut out = workload.explored_line(records.len(), analytical);
+    out.push('\n');
     write_selection(&mut out, &records, bound_cycles, bound_energy, pareto);
     // The summary goes to stderr, never into the record stream: with
     // `--telemetry` a piped stdout must stay exactly the records.
-    let cancelled = sweep_telemetry.as_ref().is_some_and(|t| t.cancelled);
     if telemetry {
         match sweep_telemetry {
             Some(t) => {
@@ -1087,7 +1120,7 @@ pub(crate) fn explore(
             stdout: out,
             stderr,
         },
-        cancelled,
+        partial,
     ))
 }
 
@@ -1136,63 +1169,6 @@ pub(crate) fn write_selection(
     }
 }
 
-/// `memx explore` over an external `.din` trace: the trace grid (tiling
-/// pinned at 1) is swept by streaming the file in chunks through banked
-/// replay shards, then the selection lines render exactly as for a kernel.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn explore_trace(
-    workload: &TraceWorkload,
-    evaluator: Evaluator,
-    bound_cycles: Option<f64>,
-    bound_energy: Option<f64>,
-    pareto: bool,
-    telemetry: bool,
-    engine: &str,
-    analytic: bool,
-    supervise: &Supervise,
-    obs_flags: &ObsFlags,
-    workers: Option<usize>,
-) -> Result<(Output, bool), RunError> {
-    let mut stderr = String::new();
-    warn_trace_engine(engine, &mut stderr);
-    let designs = TraceWorkload::design_space().designs();
-    let obs = build_obs(obs_flags)?;
-    let mut explorer = Explorer::new(evaluator).with_analytic(analytic);
-    if let Some(w) = workers {
-        explorer = explorer.with_workers(w);
-    }
-    if let Some(o) = &obs {
-        explorer = explorer.with_obs(Arc::clone(o));
-    }
-    let outcome = run_trace_supervised(&explorer, workload, &designs, supervise, &mut stderr)?;
-    if let Some(o) = &obs {
-        o.finish();
-    }
-    let records = outcome.completed_records();
-    let sweep = outcome.telemetry;
-    let cancelled = sweep.cancelled;
-
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "explored {} configurations of trace {} ({} events, streamed)",
-        records.len(),
-        workload.name(),
-        workload.events()
-    );
-    write_selection(&mut out, &records, bound_cycles, bound_energy, pareto);
-    if telemetry {
-        let _ = writeln!(stderr, "{sweep}");
-    }
-    Ok((
-        Output {
-            stdout: out,
-            stderr,
-        },
-        cancelled,
-    ))
-}
-
 /// The one-line record format shared by `explore` and `search` stdout,
 /// so the two commands' `minimum energy :` / `minimum time   :` lines
 /// stay byte-diffable (the CI search smoke job greps exactly that).
@@ -1227,14 +1203,8 @@ pub(crate) fn search(
         DesignSpace::paper()
     };
     check_space_inputs(kernel, &space, &mut stderr)?;
-    let obs = build_obs(obs_flags)?;
-    let mut explorer = Explorer::new(evaluator).with_analytic(analytic);
-    if let Some(w) = workers {
-        explorer = explorer.with_workers(w);
-    }
-    if let Some(o) = &obs {
-        explorer = explorer.with_obs(Arc::clone(o));
-    }
+    let (explorer, obs) =
+        sweep_explorer(evaluator, Engine::default(), analytic, workers, obs_flags)?;
     let options = SearchOptions {
         objective,
         beam,
@@ -1426,7 +1396,7 @@ fn render_search(
 /// trivially tight when the sweep ran to completion.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn search_trace(
-    workload: &TraceWorkload,
+    workload: &Workload,
     evaluator: Evaluator,
     objective: Objective,
     beam: Option<usize>,
@@ -1444,23 +1414,18 @@ pub(crate) fn search_trace(
             "warning: --beam is ignored for `.din` traces (the trace grid is swept exhaustively)"
         );
     }
-    let designs = TraceWorkload::design_space().designs();
-    let obs = build_obs(obs_flags)?;
-    let mut explorer = Explorer::new(evaluator).with_analytic(analytic);
-    if let Some(w) = workers {
-        explorer = explorer.with_workers(w);
-    }
-    if let Some(o) = &obs {
-        explorer = explorer.with_obs(Arc::clone(o));
-    }
+    let designs = workload.designs();
+    let (explorer, obs) =
+        sweep_explorer(evaluator, Engine::default(), analytic, workers, obs_flags)?;
     let supervise = Supervise {
         deadline_secs,
         ..Supervise::default()
     };
-    let sweep = run_trace_supervised(&explorer, workload, &designs, &supervise, &mut stderr)?;
+    let sweep = workload.run_supervised(&explorer, &designs, &supervise, &mut stderr)?;
     if let Some(o) = &obs {
         o.finish();
     }
+    let partial = is_partial(&sweep);
     let cancelled = sweep.telemetry.cancelled;
     let incumbent_index = trace_search_winner(&sweep.records, objective);
     let incumbent = incumbent_index.and_then(|i| sweep.records[i].clone());
@@ -1499,7 +1464,7 @@ pub(crate) fn search_trace(
             stdout: out,
             stderr,
         },
-        cancelled,
+        partial,
     ))
 }
 
@@ -1545,71 +1510,71 @@ fn trace_search_winner(records: &[Option<Record>], objective: Objective) -> Opti
     best.map(|(index, _)| index)
 }
 
+/// `memx pareto` over a kernel or a streamed `.din` trace: the
+/// 3-objective frontier, rendered as JSON (whose subject member is
+/// `"kernel"` or `"trace"`) or CSV. The bool in the result is the
+/// [`is_partial`] flag.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn pareto_frontier(
-    kernel: &Kernel,
+pub(crate) fn pareto(
+    workload: &Workload,
     evaluator: Evaluator,
     format: &str,
     exhaustive: bool,
     telemetry: bool,
-    engine: Engine,
+    engine: &str,
     analytic: bool,
     supervise: &Supervise,
     obs_flags: &ObsFlags,
     workers: Option<usize>,
 ) -> Result<(Output, bool), RunError> {
     let mut stderr = String::new();
-    let space = DesignSpace::paper();
-    let designs = space.designs();
-    check_sweep_inputs(kernel, &designs, &mut stderr)?;
-    let obs = build_obs(obs_flags)?;
-    let mut explorer = Explorer::new(evaluator)
-        .with_engine(engine)
-        .with_analytic(analytic);
-    if let Some(w) = workers {
-        explorer = explorer.with_workers(w);
-    }
-    if let Some(o) = &obs {
-        explorer = explorer.with_obs(Arc::clone(o));
-    }
-    let (frontier, sweep) = if supervise.is_active() {
-        // The supervised sweep is exhaustive over the grid; the frontier
-        // over its completed records is bit-identical to the pruned one
-        // when the run is clean (the pareto oracle tests pin that), and
-        // well-formed over whatever completed when it is not.
-        let outcome = run_supervised(&explorer, kernel, &designs, supervise, &mut stderr)?;
-        let completed = outcome.completed_records();
-        let frontier = select::pareto3(&completed);
-        let mut t = outcome.telemetry;
-        t.frontier_size = frontier.len();
-        (frontier, t)
-    } else if exhaustive {
-        explorer.pareto_exhaustive(kernel, &space)
-    } else {
-        explorer.pareto_pruned(kernel, &space)
+    let designs = workload.checked_designs(engine, &mut stderr)?;
+    let (explorer, obs) =
+        sweep_explorer(evaluator, engine_kind(engine), analytic, workers, obs_flags)?;
+    let mut partial = false;
+    let (frontier, sweep, engine_label) = match workload {
+        Workload::Kernel(kernel) if !supervise.is_active() => {
+            let space = DesignSpace::paper();
+            if exhaustive {
+                let (frontier, sweep) = explorer.pareto_exhaustive(kernel, &space);
+                (frontier, sweep, "exhaustive")
+            } else {
+                let (frontier, sweep) = explorer.pareto_pruned(kernel, &space);
+                (frontier, sweep, "pruned")
+            }
+        }
+        _ => {
+            // A supervised or streamed sweep is exhaustive over the grid;
+            // the frontier over its completed records is bit-identical to
+            // the pruned one when the run is clean (the pareto oracle tests
+            // pin that), and well-formed over whatever completed when it is
+            // not.
+            let outcome = workload.run_supervised(&explorer, &designs, supervise, &mut stderr)?;
+            partial = is_partial(&outcome);
+            let frontier = select::pareto3(&outcome.completed_records());
+            let mut sweep = outcome.telemetry;
+            sweep.frontier_size = frontier.len();
+            let label = match workload {
+                Workload::Kernel(_) => "supervised",
+                Workload::Trace(_) => "streamed",
+            };
+            (frontier, sweep, label)
+        }
     };
     if let Some(o) = &obs {
         o.finish();
     }
-    let cancelled = sweep.cancelled;
     if frontier.is_empty() {
         let _ = writeln!(
             stderr,
-            "warning: the Pareto frontier of kernel {} is empty (no designs completed)",
-            kernel.name
+            "warning: the Pareto frontier of {} {} is empty (no designs completed)",
+            workload.subject(),
+            workload.name()
         );
     }
-
-    let engine_label = if supervise.is_active() {
-        "supervised"
-    } else if exhaustive {
-        "exhaustive"
-    } else {
-        "pruned"
-    };
     let out = render_frontier(
-        "kernel",
-        &kernel.name,
+        workload.subject(),
+        workload.name(),
         engine_label,
         &frontier,
         &sweep,
@@ -1622,68 +1587,7 @@ pub(crate) fn pareto_frontier(
             stdout: out,
             stderr,
         },
-        cancelled,
-    ))
-}
-
-/// `memx pareto` over an external `.din` trace: exhaustive streamed sweep
-/// of the trace grid, then the 3-objective frontier renders exactly as for
-/// a kernel (the JSON member is `"trace"` instead of `"kernel"`).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pareto_trace(
-    workload: &TraceWorkload,
-    evaluator: Evaluator,
-    format: &str,
-    telemetry: bool,
-    engine: &str,
-    analytic: bool,
-    supervise: &Supervise,
-    obs_flags: &ObsFlags,
-    workers: Option<usize>,
-) -> Result<(Output, bool), RunError> {
-    let mut stderr = String::new();
-    warn_trace_engine(engine, &mut stderr);
-    let designs = TraceWorkload::design_space().designs();
-    let obs = build_obs(obs_flags)?;
-    let mut explorer = Explorer::new(evaluator).with_analytic(analytic);
-    if let Some(w) = workers {
-        explorer = explorer.with_workers(w);
-    }
-    if let Some(o) = &obs {
-        explorer = explorer.with_obs(Arc::clone(o));
-    }
-    let outcome = run_trace_supervised(&explorer, workload, &designs, supervise, &mut stderr)?;
-    if let Some(o) = &obs {
-        o.finish();
-    }
-    let completed = outcome.completed_records();
-    let frontier = select::pareto3(&completed);
-    let mut sweep = outcome.telemetry;
-    sweep.frontier_size = frontier.len();
-    let cancelled = sweep.cancelled;
-    if frontier.is_empty() {
-        let _ = writeln!(
-            stderr,
-            "warning: the Pareto frontier of trace {} is empty (no designs completed)",
-            workload.name()
-        );
-    }
-    let out = render_frontier(
-        "trace",
-        workload.name(),
-        "streamed",
-        &frontier,
-        &sweep,
-        format,
-        telemetry,
-        &mut stderr,
-    );
-    Ok((
-        Output {
-            stdout: out,
-            stderr,
-        },
-        cancelled,
+        partial,
     ))
 }
 
@@ -2653,5 +2557,43 @@ mod tests {
         })
         .expect_err("should fail");
         assert!(e.to_string().contains("cannot read"));
+    }
+
+    #[test]
+    fn a_quarantined_design_makes_the_result_partial() {
+        let kernel = loopir::kernels::matadd(6);
+        let designs = [
+            CacheDesign::new(64, 8, 1, 1),
+            CacheDesign::new(128, 8, 1, 1),
+        ];
+        let evaluator = Evaluator::default();
+        let clean = SweepOutcome {
+            records: designs
+                .iter()
+                .map(|&d| Some(evaluator.evaluate(&kernel, d)))
+                .collect(),
+            errors: Vec::new(),
+            telemetry: SweepTelemetry::default(),
+        };
+        assert!(!is_partial(&clean), "a complete sweep is cacheable");
+
+        let mut quarantined = clean.clone();
+        quarantined.records[1] = None;
+        quarantined.errors.push(memexplore::SweepError {
+            design_index: 1,
+            design: designs[1],
+            engine: "fallback",
+            message: "boom".into(),
+        });
+        assert!(!quarantined.telemetry.cancelled);
+        assert!(
+            is_partial(&quarantined),
+            "a sweep that quarantined a design must never be cached"
+        );
+
+        let mut cancelled = clean;
+        cancelled.records[1] = None;
+        cancelled.telemetry.cancelled = true;
+        assert!(is_partial(&cancelled));
     }
 }

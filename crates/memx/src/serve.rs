@@ -32,9 +32,8 @@
 //! depth) flow through the obs layer and surface in `memx report`.
 
 use crate::cli::{ObsFlags, Supervise};
-use crate::commands::{self, Output, RunError};
+use crate::commands::{self, Output, RunError, Workload};
 use loopir::parse::parse_kernel;
-use loopir::Kernel;
 use memexplore::obs::{parse_json, push_json_str, Json};
 use memexplore::{CacheKey, FieldValue, Lookup, Objective, Obs, ResultCache, TraceWorkload};
 use std::collections::HashMap;
@@ -90,16 +89,6 @@ impl JobKind {
     }
 }
 
-/// The workload a job sweeps: a parsed kernel or a streamed trace.
-#[derive(Clone, Debug)]
-pub enum JobInput {
-    /// Parsed kernel from the request's inline `.mx` text.
-    Kernel(Kernel),
-    /// Prepared trace from the request's inline `.din` text, swept by
-    /// streaming over the fixed trace grid (tiling pinned at 1).
-    Trace(TraceWorkload),
-}
-
 /// A fully validated job request. Defaults mirror the offline CLI, so a
 /// request that only sets `command` and `kernel` behaves exactly like
 /// `memx <command> KERNEL.mx` (and `trace` like `memx <command> TRACE.din`).
@@ -108,7 +97,7 @@ pub struct JobSpec {
     /// Which sweep to run.
     pub kind: JobKind,
     /// The workload (inline kernel or inline trace).
-    pub input: JobInput,
+    pub input: Workload,
     /// Off-chip part keyword (`cy7c`, `lp2m`, `16m`).
     pub part: String,
     /// Custom `Em` (nJ/access) overriding `part`.
@@ -220,17 +209,17 @@ impl JobSpec {
             )),
             (Some(v), None) => {
                 let text = field_str(v, "kernel")?;
-                JobInput::Kernel(parse_kernel(text).map_err(|e| bad(format!("bad kernel: {e}")))?)
+                Workload::Kernel(parse_kernel(text).map_err(|e| bad(format!("bad kernel: {e}")))?)
             }
             (None, Some(v)) => {
                 let text = field_str(v, "trace")?.to_string();
-                JobInput::Trace(
+                Workload::Trace(
                     TraceWorkload::from_text("inline.din", text)
                         .map_err(|e| bad(format!("bad trace: {e}")))?,
                 )
             }
         };
-        let is_trace = matches!(input, JobInput::Trace(_));
+        let is_trace = matches!(input, Workload::Trace(_));
 
         let mut spec = JobSpec {
             kind,
@@ -403,10 +392,10 @@ impl JobSpec {
         let mut s = String::with_capacity(512);
         let _ = write!(s, "{KEY_SCHEMA}\0command={}\0", self.kind.as_str());
         match &self.input {
-            JobInput::Kernel(kernel) => {
+            Workload::Kernel(kernel) => {
                 let _ = write!(s, "kernel={kernel}\0");
             }
-            JobInput::Trace(workload) => {
+            Workload::Trace(workload) => {
                 let _ = write!(
                     s,
                     "trace={}:{}\0",
@@ -882,7 +871,7 @@ fn shard_output(result: (Vec<u8>, Vec<(usize, String)>)) -> (Output, bool) {
 }
 
 /// Runs one job on the sweep engines. Returns the command output plus the
-/// cancellation flag (deadline reached → partial, uncacheable).
+/// partial flag (deadline reached or a design quarantined → uncacheable).
 fn run_job(spec: &JobSpec, workers: usize, distribute: usize) -> Result<(Output, bool), RunError> {
     let evaluator = commands::make_evaluator(&spec.part, spec.em_nj, spec.natural);
     let supervise = Supervise {
@@ -895,11 +884,11 @@ fn run_job(spec: &JobSpec, workers: usize, distribute: usize) -> Result<(Output,
         // coordinator; analytical jobs never sweep, and deadline jobs
         // need the supervisor's cooperative cancellation, so both keep
         // the undistributed path.
-        (JobInput::Kernel(kernel), JobKind::Explore)
+        (input @ Workload::Kernel(_), JobKind::Explore)
             if distribute >= 2 && !spec.analytical && spec.deadline_secs.is_none() =>
         {
-            crate::sweep::explore_kernel_sharded(
-                kernel,
+            crate::sweep::explore_sharded(
+                input,
                 &evaluator,
                 &spec.engine,
                 workers,
@@ -909,8 +898,8 @@ fn run_job(spec: &JobSpec, workers: usize, distribute: usize) -> Result<(Output,
                 spec.pareto,
             )
         }
-        (JobInput::Kernel(kernel), JobKind::Shard) => crate::sweep::kernel_shard_bytes(
-            kernel,
+        (input, JobKind::Shard) => crate::sweep::shard_bytes(
+            input,
             &evaluator,
             &spec.engine,
             workers,
@@ -918,41 +907,33 @@ fn run_job(spec: &JobSpec, workers: usize, distribute: usize) -> Result<(Output,
             spec.shard_end,
         )
         .map(shard_output),
-        (JobInput::Trace(workload), JobKind::Shard) => crate::sweep::trace_shard_bytes(
-            workload,
-            &evaluator,
-            workers,
-            spec.shard_start,
-            spec.shard_end,
-        )
-        .map(shard_output),
-        (JobInput::Kernel(kernel), JobKind::Explore) => commands::explore(
-            kernel,
+        (input, JobKind::Explore) => commands::explore(
+            input,
             evaluator,
             spec.analytical,
             spec.bound_cycles,
             spec.bound_energy,
             spec.pareto,
             false,
-            commands::engine_kind(&spec.engine),
+            &spec.engine,
             true,
             &supervise,
             &obs_flags,
             Some(workers),
         ),
-        (JobInput::Kernel(kernel), JobKind::Pareto) => commands::pareto_frontier(
-            kernel,
+        (input, JobKind::Pareto) => commands::pareto(
+            input,
             evaluator,
             &spec.format,
             spec.exhaustive,
             false,
-            commands::engine_kind(&spec.engine),
+            &spec.engine,
             true,
             &supervise,
             &obs_flags,
             Some(workers),
         ),
-        (JobInput::Kernel(kernel), JobKind::Search) => commands::search(
+        (Workload::Kernel(kernel), JobKind::Search) => commands::search(
             kernel,
             evaluator,
             spec.objective,
@@ -966,32 +947,8 @@ fn run_job(spec: &JobSpec, workers: usize, distribute: usize) -> Result<(Output,
             &obs_flags,
             Some(workers),
         ),
-        (JobInput::Trace(workload), JobKind::Explore) => commands::explore_trace(
-            workload,
-            evaluator,
-            spec.bound_cycles,
-            spec.bound_energy,
-            spec.pareto,
-            false,
-            &spec.engine,
-            true,
-            &supervise,
-            &obs_flags,
-            Some(workers),
-        ),
-        (JobInput::Trace(workload), JobKind::Pareto) => commands::pareto_trace(
-            workload,
-            evaluator,
-            &spec.format,
-            false,
-            &spec.engine,
-            true,
-            &supervise,
-            &obs_flags,
-            Some(workers),
-        ),
-        (JobInput::Trace(workload), JobKind::Search) => commands::search_trace(
-            workload,
+        (input @ Workload::Trace(_), JobKind::Search) => commands::search_trace(
+            input,
             evaluator,
             spec.objective,
             spec.beam,
@@ -1049,13 +1006,15 @@ fn handle_job(stream: &mut TcpStream, shared: &ServerShared, body: &[u8]) -> io:
             }));
             shared.gate.release();
             match result {
-                Ok(Ok((output, cancelled))) => {
-                    let status = if cancelled { "cancelled" } else { "complete" };
+                Ok(Ok((output, partial))) => {
+                    // Any partial result (deadline or quarantine) reports
+                    // the `cancelled` status.
+                    let status = if partial { "cancelled" } else { "complete" };
                     let bytes = job_body(status, key, spec.kind, &output);
-                    // Only completed results are cacheable; a cancelled
-                    // (deadline) job still answers its waiters with the
-                    // partial bytes but is re-simulated next time.
-                    flight.fulfill(Arc::new(bytes.clone()), !cancelled);
+                    // Only completed results are cacheable; a partial job
+                    // still answers its waiters with the partial bytes but
+                    // is re-simulated next time.
+                    flight.fulfill(Arc::new(bytes.clone()), !partial);
                     record_job(shared, &spec, started, "miss", status, queue_depth, 200);
                     let headers = [
                         ("X-Memx-Cache", "miss"),

@@ -30,15 +30,13 @@
 //! lines on the worker's stdout.
 
 use crate::cli::ObsFlags;
-use crate::commands::{self, Output, RunError};
-use loopir::Kernel;
+use crate::commands::{self, Output, RunError, Workload};
 use memexplore::obs::{parse_json, Json};
 use memexplore::supervisor::sweep_id;
 use memexplore::{
     partition, run_sharded, trace_sweep_id, CacheDesign, Checkpoint, CheckpointPolicy,
-    CoordinatorOptions, DesignSpace, Evaluator, ExploreError, Explorer, Record, ShardError,
-    ShardExecutor, ShardHandle, ShardOutput, ShardSpec, SweepOptions, SweepOutcome, SweepTelemetry,
-    TraceWorkload,
+    CoordinatorOptions, Evaluator, ExploreError, Explorer, Record, ShardError, ShardExecutor,
+    ShardHandle, ShardOutput, ShardSpec, SweepOptions, SweepOutcome, SweepTelemetry,
 };
 use std::cell::Cell;
 use std::fmt::Write as _;
@@ -52,29 +50,6 @@ use std::time::{Duration, Instant, SystemTime};
 // ---------------------------------------------------------------------------
 // Workloads
 // ---------------------------------------------------------------------------
-
-/// The two workload shapes a distributed sweep handles.
-enum Workload {
-    Kernel(Kernel),
-    Trace(TraceWorkload),
-}
-
-fn load_workload(file: &str) -> Result<Workload, RunError> {
-    if commands::is_din_path(file) {
-        commands::load_trace(file).map(Workload::Trace)
-    } else {
-        commands::load(file).map(Workload::Kernel)
-    }
-}
-
-/// The full design grid a workload sweeps — the same grid `memx explore`
-/// uses, so the merged selection is comparable byte-for-byte.
-fn grid_of(workload: &Workload) -> Vec<CacheDesign> {
-    match workload {
-        Workload::Kernel(_) => DesignSpace::paper().designs(),
-        Workload::Trace(_) => TraceWorkload::design_space().designs(),
-    }
-}
 
 /// Sweep id of one slice — what the worker's checkpoint header will
 /// carry, so the coordinator can reject a stream from the wrong shard,
@@ -127,9 +102,9 @@ pub fn worker(
     checkpoint_every: usize,
     resume: bool,
 ) -> Result<Output, RunError> {
-    let workload = load_workload(file)?;
+    let workload = Workload::load(file)?;
     let evaluator = commands::make_evaluator(part, em_nj, natural);
-    let designs = grid_of(&workload);
+    let designs = workload.designs();
     if end > designs.len() {
         return Err(RunError::Io(format!(
             "worker range [{start}..{end}) exceeds the {}-design grid of `{file}`",
@@ -150,7 +125,7 @@ pub fn worker(
         ..SweepOptions::default()
     };
     let outcome =
-        run_slice(&workload, &evaluator, engine, slice, &options).map_err(|e| match e {
+        run_slice(&workload, &evaluator, engine, slice, &options, None).map_err(|e| match e {
             SliceError::Checkpoint(message) => RunError::Io(message),
             SliceError::Other(message) => RunError::Other(message.into()),
         })?;
@@ -198,16 +173,22 @@ fn run_slice(
     engine: &str,
     slice: &[CacheDesign],
     options: &SweepOptions,
+    workers: Option<usize>,
 ) -> Result<SweepOutcome, SliceError> {
+    let mut explorer = Explorer::new(evaluator.clone()).with_engine(commands::engine_kind(engine));
+    if let Some(w) = workers {
+        explorer = explorer.with_workers(w);
+    }
     match workload {
-        Workload::Kernel(kernel) => Explorer::new(evaluator.clone())
-            .with_engine(commands::engine_kind(engine))
-            .explore_supervised(kernel, slice, options)
-            .map_err(|e| match e {
-                ExploreError::Checkpoint(c) => SliceError::Checkpoint(c.to_string()),
-                other => SliceError::Other(other.to_string()),
-            }),
-        Workload::Trace(tw) => Explorer::new(evaluator.clone())
+        Workload::Kernel(kernel) => {
+            explorer
+                .explore_supervised(kernel, slice, options)
+                .map_err(|e| match e {
+                    ExploreError::Checkpoint(c) => SliceError::Checkpoint(c.to_string()),
+                    other => SliceError::Other(other.to_string()),
+                })
+        }
+        Workload::Trace(tw) => explorer
             .explore_trace_supervised(tw, slice, options)
             .map_err(|e| match commands::trace_error(e) {
                 RunError::Io(m) => SliceError::Checkpoint(m),
@@ -227,33 +208,13 @@ fn run_slice_output(
     workers: Option<usize>,
 ) -> Result<ShardOutput, ShardError> {
     let options = SweepOptions::default();
-    let outcome = match workload {
-        Workload::Kernel(kernel) => {
-            let mut explorer =
-                Explorer::new(evaluator.clone()).with_engine(commands::engine_kind(engine));
-            if let Some(w) = workers {
-                explorer = explorer.with_workers(w);
-            }
-            explorer.explore_supervised(kernel, slice, &options)
-        }
-        Workload::Trace(tw) => {
-            let mut explorer = Explorer::new(evaluator.clone());
-            if let Some(w) = workers {
-                explorer = explorer.with_workers(w);
-            }
-            explorer
-                .explore_trace_supervised(tw, slice, &options)
-                .map_err(|e| ExploreError::WorkerPanic {
-                    phase: "trace",
-                    message: e.to_string(),
-                })
-        }
-    }
-    .map_err(|e| ShardError::WorkerLost {
-        shard: spec.index,
-        attempt: 0,
-        message: e.to_string(),
-    })?;
+    let outcome = run_slice(workload, evaluator, engine, slice, &options, workers).map_err(
+        |(SliceError::Checkpoint(message) | SliceError::Other(message))| ShardError::WorkerLost {
+            shard: spec.index,
+            attempt: 0,
+            message,
+        },
+    )?;
     Ok(ShardOutput {
         sweep_id: spec.sweep_id,
         entries: outcome
@@ -716,25 +677,10 @@ pub fn sweep(req: &SweepRequest) -> Result<Output, RunError> {
     if slots == 0 {
         return local_only(req);
     }
-    let workload = load_workload(&req.file)?;
+    let workload = Workload::load(&req.file)?;
     let evaluator = commands::make_evaluator(&req.part, req.em_nj, req.natural);
     let mut stderr = String::new();
-    let designs = grid_of(&workload);
-    match &workload {
-        Workload::Kernel(kernel) => {
-            commands::check_sweep_inputs(kernel, &designs, &mut stderr)?;
-        }
-        Workload::Trace(_) => {
-            if req.engine != "fused" {
-                let _ = writeln!(
-                    stderr,
-                    "warning: --engine {} is ignored for `.din` traces \
-                     (streamed sweeps are always banked)",
-                    req.engine
-                );
-            }
-        }
-    }
+    let designs = workload.checked_designs(&req.engine, &mut stderr)?;
 
     let shard_count = req.shards.unwrap_or_else(|| (2 * slots).max(1));
     let mut specs = partition(designs.len(), shard_count);
@@ -850,26 +796,8 @@ pub fn sweep(req: &SweepRequest) -> Result<Output, RunError> {
         let _ = writeln!(stderr, "warning: {e}");
     }
 
-    let mut out = String::new();
-    match &workload {
-        Workload::Kernel(kernel) => {
-            let _ = writeln!(
-                out,
-                "explored {} configurations of kernel {} (trace-driven simulation)",
-                records.len(),
-                kernel.name
-            );
-        }
-        Workload::Trace(tw) => {
-            let _ = writeln!(
-                out,
-                "explored {} configurations of trace {} ({} events, streamed)",
-                records.len(),
-                tw.name(),
-                tw.events()
-            );
-        }
-    }
+    let mut out = workload.explored_line(records.len(), false);
+    out.push('\n');
     commands::write_selection(
         &mut out,
         &records,
@@ -899,35 +827,20 @@ pub fn sweep(req: &SweepRequest) -> Result<Output, RunError> {
 fn local_only(req: &SweepRequest) -> Result<Output, RunError> {
     let evaluator = commands::make_evaluator(&req.part, req.em_nj, req.natural);
     let supervise = crate::cli::Supervise::default();
-    let (mut output, _cancelled) = match load_workload(&req.file)? {
-        Workload::Kernel(kernel) => commands::explore(
-            &kernel,
-            evaluator,
-            false,
-            req.bound_cycles,
-            req.bound_energy,
-            req.pareto,
-            req.telemetry,
-            commands::engine_kind(&req.engine),
-            true,
-            &supervise,
-            &req.obs,
-            None,
-        )?,
-        Workload::Trace(tw) => commands::explore_trace(
-            &tw,
-            evaluator,
-            req.bound_cycles,
-            req.bound_energy,
-            req.pareto,
-            req.telemetry,
-            &req.engine,
-            true,
-            &supervise,
-            &req.obs,
-            None,
-        )?,
-    };
+    let (mut output, _partial) = commands::explore(
+        &Workload::load(&req.file)?,
+        evaluator,
+        false,
+        req.bound_cycles,
+        req.bound_energy,
+        req.pareto,
+        req.telemetry,
+        &req.engine,
+        true,
+        &supervise,
+        &req.obs,
+        None,
+    )?;
     output.stderr.insert_str(
         0,
         "note: no workers (--distributed 0, none attached); sweeping locally\n",
@@ -943,57 +856,18 @@ fn local_only(req: &SweepRequest) -> Result<Output, RunError> {
 /// the payload of one shard-job response.
 pub(crate) type ShardBytes = (Vec<u8>, Vec<(usize, String)>);
 
-/// Runs one kernel shard job for the serve daemon: sweep the slice and
-/// return the checkpoint wire bytes plus quarantine lines.
-pub(crate) fn kernel_shard_bytes(
-    kernel: &Kernel,
-    evaluator: &Evaluator,
-    engine: &str,
-    workers: usize,
-    start: usize,
-    end: usize,
-) -> Result<ShardBytes, RunError> {
-    let designs = DesignSpace::paper().designs();
-    shard_bytes(
-        &Workload::Kernel(kernel.clone()),
-        evaluator,
-        engine,
-        workers,
-        start,
-        end,
-        &designs,
-    )
-}
-
-/// [`kernel_shard_bytes`] for inline-trace shard jobs.
-pub(crate) fn trace_shard_bytes(
-    workload: &TraceWorkload,
-    evaluator: &Evaluator,
-    workers: usize,
-    start: usize,
-    end: usize,
-) -> Result<ShardBytes, RunError> {
-    let designs = TraceWorkload::design_space().designs();
-    shard_bytes(
-        &Workload::Trace(workload.clone()),
-        evaluator,
-        "fused",
-        workers,
-        start,
-        end,
-        &designs,
-    )
-}
-
-fn shard_bytes(
+/// Runs one shard job for the serve daemon: sweep designs
+/// `[start..end)` of the workload's grid and return the checkpoint wire
+/// bytes plus quarantine lines.
+pub(crate) fn shard_bytes(
     workload: &Workload,
     evaluator: &Evaluator,
     engine: &str,
     workers: usize,
     start: usize,
     end: usize,
-    designs: &[CacheDesign],
 ) -> Result<ShardBytes, RunError> {
+    let designs = workload.designs();
     if end > designs.len() || start >= end {
         return Err(RunError::Other(
             format!(
@@ -1024,8 +898,8 @@ fn shard_bytes(
 /// byte-identical to the undistributed explore path by the same argument
 /// as `memx sweep` (and pinned by the suite's oracle).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn explore_kernel_sharded(
-    kernel: &Kernel,
+pub(crate) fn explore_sharded(
+    workload: &Workload,
     evaluator: &Evaluator,
     engine: &str,
     workers: usize,
@@ -1035,21 +909,15 @@ pub(crate) fn explore_kernel_sharded(
     pareto: bool,
 ) -> Result<(Output, bool), RunError> {
     let mut stderr = String::new();
-    let designs = DesignSpace::paper().designs();
-    commands::check_sweep_inputs(kernel, &designs, &mut stderr)?;
+    let designs = workload.checked_designs(engine, &mut stderr)?;
     let mut specs = partition(designs.len(), (2 * distribute).max(1));
-    let workload = Workload::Kernel(kernel.clone());
     for spec in &mut specs {
-        spec.sweep_id = slice_id(
-            &workload,
-            &designs[spec.start..spec.end],
-            &evaluator.clone(),
-        );
+        spec.sweep_id = slice_id(workload, &designs[spec.start..spec.end], evaluator);
     }
     // Each in-process shard worker gets a share of the job's thread
     // budget so `--distribute` does not oversubscribe the slot's cores.
     let per_shard = (workers / distribute).max(1);
-    let run_workload = Workload::Kernel(kernel.clone());
+    let run_workload = workload.clone();
     let run_evaluator = evaluator.clone();
     let run_engine = engine.to_string();
     let run_designs = designs.clone();
@@ -1067,8 +935,8 @@ pub(crate) fn explore_kernel_sharded(
     let executor = memexplore::ThreadExecutor::new(distribute, run);
     let local = |spec: &ShardSpec| {
         run_slice_output(
-            &workload,
-            &evaluator.clone(),
+            workload,
+            evaluator,
             engine,
             &designs[spec.start..spec.end],
             spec,
@@ -1094,20 +962,17 @@ pub(crate) fn explore_kernel_sharded(
     for e in &outcome.errors {
         let _ = writeln!(stderr, "warning: {e}");
     }
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "explored {} configurations of kernel {} (trace-driven simulation)",
-        records.len(),
-        kernel.name
-    );
+    let mut out = workload.explored_line(records.len(), false);
+    out.push('\n');
     commands::write_selection(&mut out, &records, bound_cycles, bound_energy, pareto);
+    // A quarantined design leaves the result partial: never cache it.
+    let partial = !outcome.errors.is_empty();
     Ok((
         Output {
             stdout: out,
             stderr,
         },
-        false,
+        partial,
     ))
 }
 

@@ -257,7 +257,7 @@ fn streamed_paper_kernel_sweeps_match_materialized_replay() {
         // Materialized reference: the same events through the whole-slice
         // bank replay path.
         let bank: Vec<(CacheDesign, bool)> = designs.iter().map(|&d| (d, false)).collect();
-        let reference = evaluator.evaluate_bank_with_trace(&bank, &events);
+        let reference = evaluator.evaluate_bank_with_trace(&bank, &events, None);
         assert_eq!(streamed, reference, "{}", kernel.name);
 
         // The downstream selections (explore's minima, pareto's frontier)

@@ -97,6 +97,31 @@ fn deadline_zero_yields_well_formed_empty_partial_result() {
     assert_eq!(outcome.telemetry.designs_evaluated, 0);
 }
 
+/// The deadline holds in the layout and trace phases too: an expired
+/// budget skips every layout job, every trace job and the arena itself,
+/// on both engines.
+#[test]
+fn zero_deadline_skips_layout_and_trace_phases() {
+    let kernel = kernels::compress(31);
+    let designs = DesignSpace::paper().designs();
+    let options = SweepOptions {
+        deadline: Some(Duration::ZERO),
+        ..SweepOptions::default()
+    };
+    for engine in [Engine::Fused, Engine::PerDesign] {
+        let outcome = Explorer::default()
+            .with_engine(engine)
+            .explore_supervised(&kernel, &designs, &options)
+            .expect("cancelled sweep still returns a well-formed outcome");
+        let t = &outcome.telemetry;
+        assert!(t.cancelled, "{engine}: deadline must flag telemetry");
+        assert_eq!(t.layouts_computed, 0, "{engine}: no layout may run");
+        assert_eq!(t.trace_events_generated, 0, "{engine}: no trace may run");
+        assert_eq!(outcome.records.len(), designs.len());
+        assert!(outcome.records.iter().all(Option::is_none), "{engine}");
+    }
+}
+
 #[test]
 fn generous_deadline_completes_normally() {
     let kernel = kernels::dequant(31);
@@ -179,6 +204,84 @@ fn resume_with_missing_checkpoint_starts_fresh() {
     assert_eq!(outcome.telemetry.records_resumed, 0);
     assert_eq!(outcome.completed_records(), clean);
     assert!(scratch.ckpt().exists());
+}
+
+/// A grid whose every cache holds the kernel's whole array footprint, so
+/// trace groups resolve on the analytic fast path (the analytic oracle's
+/// ample grid).
+fn ample_space(kernel: &Kernel) -> DesignSpace {
+    let footprint: u64 = memexplore::analytic::kernel_footprint_bytes(kernel);
+    let base = usize::try_from(footprint.next_power_of_two()).expect("small kernels");
+    DesignSpace {
+        cache_sizes: vec![base, base * 2],
+        line_sizes: vec![8, 16],
+        assocs: vec![1, 2],
+        tilings: vec![1],
+        min_lines: 1,
+        ..Default::default()
+    }
+}
+
+/// Analytic groups under checkpoint and resume: records resolved in
+/// closed form are checkpointed like replayed ones, and a sweep resumed
+/// from a partial sidecar resolves its remaining groups analytically and
+/// reproduces a clean run bit for bit.
+#[test]
+fn analytic_groups_checkpoint_and_resume_bit_identically() {
+    let kernel = kernels::matadd(8);
+    let space = ample_space(&kernel);
+    let designs = space.designs();
+    let explorer = Explorer::default();
+    let (clean, clean_t) = explorer.explore_with_telemetry(&kernel, &space);
+    assert!(
+        clean_t.analytic_groups > 0,
+        "the ample grid resolves analytically"
+    );
+
+    let scratch = Scratch::new("analytic");
+    let policy = |resume| CheckpointPolicy {
+        path: scratch.ckpt(),
+        every: 1,
+        resume,
+    };
+    let options = SweepOptions {
+        checkpoint: Some(policy(false)),
+        ..SweepOptions::default()
+    };
+    let full = explorer
+        .explore_supervised(&kernel, &designs, &options)
+        .expect("checkpointed sweep succeeds");
+    assert_eq!(full.completed_records(), clean);
+    assert!(full.telemetry.analytic_groups > 0);
+    assert_eq!(full.telemetry.checkpoints_written, designs.len());
+    let sidecar = Checkpoint::read(&scratch.ckpt()).expect("checkpoint is valid");
+    assert_eq!(sidecar.entries.len(), designs.len());
+
+    for take in [1, designs.len() / 2, designs.len() - 1] {
+        Checkpoint {
+            sweep_id: sidecar.sweep_id,
+            entries: sidecar.entries[..take].to_vec(),
+        }
+        .write_atomic(&scratch.ckpt())
+        .expect("checkpoint writes");
+        let options = SweepOptions {
+            checkpoint: Some(policy(true)),
+            ..SweepOptions::default()
+        };
+        let resumed = explorer
+            .explore_supervised(&kernel, &designs, &options)
+            .expect("resumed sweep succeeds");
+        assert_eq!(resumed.telemetry.records_resumed, take);
+        assert!(
+            resumed.telemetry.analytic_groups > 0,
+            "resume from {take} records: the rest must resolve analytically"
+        );
+        assert_eq!(
+            resumed.completed_records(),
+            clean,
+            "resume from {take} records diverged from the clean sweep"
+        );
+    }
 }
 
 #[cfg(feature = "fault-injection")]
